@@ -17,40 +17,48 @@ let heading title =
    EXPERIMENTS.md).  Hand-rolled JSON: the image deliberately carries no
    JSON library. *)
 
+(* `--jobs N` fails like the CLI's on a malformed or non-positive count
+   (a structured Invalid_config, exit 2) instead of quietly running with
+   the default. *)
 let jobs =
   let rec scan i =
     if i >= Array.length Sys.argv then None
     else
       match Sys.argv.(i) with
       | "--jobs" | "-j" when i + 1 < Array.length Sys.argv ->
-          int_of_string_opt Sys.argv.(i + 1)
+          Some Sys.argv.(i + 1)
       | s when String.length s > 7 && String.sub s 0 7 = "--jobs=" ->
-          int_of_string_opt (String.sub s 7 (String.length s - 7))
+          Some (String.sub s 7 (String.length s - 7))
       | _ -> scan (i + 1)
   in
   match scan 1 with
-  | Some j when j >= 1 -> j
-  | Some _ | None -> Pf_harness.Pool.default_jobs ()
+  | None -> Pf_util.Pool.default_jobs ()
+  | Some s -> (
+      try
+        match int_of_string_opt s with
+        | Some j -> Pf_util.Pool.validate_jobs ~where:"bench" j
+        | None ->
+            Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+              ~where:"bench" "--jobs expects an integer, got %S" s
+      with Pf_util.Sim_error.Error e ->
+        prerr_endline (Pf_util.Sim_error.to_string e);
+        exit 2)
 
-(* `--engine reference|predecoded|compiled` pins the execution engine of
-   the figures sweep, the headline aggregate and the `--check` gate
-   (default: compiled, the fastest engine — the one whose regressions
-   matter).  Every engine retires the identical architectural stream, so
-   this changes throughput figures only, never results. *)
+(* `--engine reference|compiled` pins the execution engine of the
+   figures sweep, the headline aggregate and the `--check` gate (default:
+   compiled, the fast engine — the one whose regressions matter).  Both
+   engines retire the identical architectural stream, so this changes
+   throughput figures only, never results. *)
 let engine_name = function
   | Pf_cpu.Arm_run.Reference -> "reference"
-  | Pf_cpu.Arm_run.Predecoded -> "predecoded"
   | Pf_cpu.Arm_run.Compiled -> "compiled"
 
 let engine =
   let of_name = function
     | "reference" -> Pf_cpu.Arm_run.Reference
-    | "predecoded" -> Pf_cpu.Arm_run.Predecoded
     | "compiled" -> Pf_cpu.Arm_run.Compiled
     | s ->
-        Printf.eprintf
-          "bench: unknown --engine %s (want reference|predecoded|compiled)\n"
-          s;
+        Printf.eprintf "bench: unknown --engine %s (want reference|compiled)\n" s;
         exit 2
   in
   let rec scan i =
@@ -541,8 +549,7 @@ let engine_matrix () =
         (engine_name e) rate sweep.Pf_harness.Experiment.completed
         sweep.Pf_harness.Experiment.total;
       (engine_name e, rate))
-    [ Pf_cpu.Arm_run.Reference; Pf_cpu.Arm_run.Predecoded;
-      Pf_cpu.Arm_run.Compiled ]
+    [ Pf_cpu.Arm_run.Reference; Pf_cpu.Arm_run.Compiled ]
 
 let write_sweep_json ~engine_rates ~explore_rate ~sweep_rate ~serve
     ~population:(pop_gen_rate, pop_steps_rate) ~mc_rate

@@ -14,7 +14,7 @@
      probe.exe --blocks  [b,...]  static + dynamic basic-block length
                                   histograms per benchmark (ARM + FITS)
      probe.exe --attrib  [b,...]  per-benchmark dispatch-vs-memory time
-                                  attribution across the three engines *)
+                                  attribution across the engines *)
 
 module Px = Pf_arm.Pexec
 module Bx = Pf_arm.Bexec

@@ -87,7 +87,7 @@ let resolve_jobs = function
      same as any other bad configuration (the top-level handler turns it
      into the Sim_error exit code) *)
   | Some j -> Pf_util.Pool.validate_jobs ~where:"cli" j
-  | None -> Pf_harness.Pool.default_jobs ()
+  | None -> Pf_util.Pool.default_jobs ()
 
 (* ---- list ---- *)
 
@@ -186,27 +186,21 @@ let max_steps_arg =
 (* Execution-engine selector shared by `run` and `figures`.  Distinct
    from `explore --engine replay|sweep`, which picks how the DSE grid is
    evaluated; this one picks how an instruction stream is *executed*.
-   Every engine retires the identical architectural stream (pinned by the
-   three-way differential tests), so it affects simulator speed only. *)
+   Both engines retire the identical architectural stream (pinned by the
+   engine differential tests), so it affects simulator speed only. *)
 let exec_engine_arg =
   let engine_conv =
     Arg.enum
       [ ("reference", Pf_cpu.Arm_run.Reference);
-        ("predecoded", Pf_cpu.Arm_run.Predecoded);
         ("compiled", Pf_cpu.Arm_run.Compiled) ]
   in
   Arg.(value & opt engine_conv Pf_cpu.Arm_run.Compiled
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Execution engine: $(b,reference) (decode-as-you-go \
-                 interpreter), $(b,predecoded) (micro-op interpreter) or \
-                 $(b,compiled) (basic-block compiler, the default).  \
+                 interpreter) or $(b,compiled) (basic-block compiler, the \
+                 default).  \
                  Results are engine-invariant; only simulation speed \
                  changes.")
-
-let fits_engine = function
-  | Pf_cpu.Arm_run.Reference -> Pf_fits.Run.Reference
-  | Pf_cpu.Arm_run.Predecoded -> Pf_fits.Run.Predecoded
-  | Pf_cpu.Arm_run.Compiled -> Pf_fits.Run.Compiled
 
 let run_cmd =
   let run_one ~scale ~config ~max_steps ~engine b =
@@ -245,8 +239,7 @@ let run_cmd =
           Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image
         in
         let r =
-          Pf_fits.Run.run ~engine:(fits_engine engine) ~cache_cfg ?max_steps
-            tr
+          Pf_fits.Run.run ~engine ~cache_cfg ?max_steps tr
         in
         Printf.printf "dynamic 1-to-1 mapping: %.1f%%\n"
           r.Pf_fits.Run.dyn_one_to_one_pct;

@@ -1,7 +1,7 @@
 (* Basic-block compiler over predecoded micro-ops.
 
-   The per-instruction engines ([Pexec.run], the Arm_run/Fits.Run loops)
-   pay a dispatch, an outcome reset, a condition test, a pc store and a
+   A per-instruction loop ([Pexec.run], [Pf_cpu.Step.step]) pays a
+   dispatch, an outcome reset, a condition test, a pc store and a
    bounds check for every dynamic instruction.  Straight-line code makes
    almost all of that constant: between one control transfer and the
    next, the pc advances by [isize], conditions are statically AL for the
@@ -33,13 +33,13 @@
    compares become [sh_nop], S-suffixed register ops lose their [s] bit
    via [Pexec.elide_flags].  Pipeline metadata always comes from the
    original micro-op, so the issued/recorded event stream is bit-identical
-   to the per-instruction engines'.
+   to the per-instruction path's.
 
    Legality fallback: blocks whose leader is an undef slot (data words,
    corrupted decoder entries) and any micro-op with an out-of-range
    dispatch code mark the block [fallback]; the driver then single-steps
-   it with the exact per-instruction loop body, reproducing that engine's
-   fault pcs and messages. *)
+   it through the per-instruction body ([Pf_cpu.Step.step]), reproducing
+   its fault pcs and messages. *)
 
 let sh_nop = 0
 let sh_dp = 1

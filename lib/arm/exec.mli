@@ -83,7 +83,7 @@ val load_byte : t -> int -> int
 
 (** {2 Engine internals}
 
-    Shared with {!Pexec}, the predecoded engine, so both interpreters
+    Shared with {!Pexec}, the micro-op compiler, so both interpreters
     use the very same flag and memory semantics (the differential tests
     assert the results are bit-identical). *)
 

@@ -1,4 +1,4 @@
-(* Predecoded micro-op engine.
+(* Micro-op compiler: predecode once, execute without allocating.
 
    [Exec.execute] re-derives per *dynamic* step facts that only depend on
    the *static* instruction: the rotated immediate and its carry mode, the

@@ -1,4 +1,4 @@
-(** Predecoded micro-op engine.
+(** Micro-op compiler: predecode once, execute without allocating.
 
     Compiles each static instruction once into a flat micro-op record —
     rotated immediates resolved, branch targets absolute, register lists as
@@ -6,7 +6,10 @@
     attached — then executes with zero per-step heap allocation.  Shares
     the flag and memory semantics of {!Exec} so results are bit-identical
     to the reference interpreter (asserted by the differential test over
-    the full benchmark suite). *)
+    the full benchmark suite).  {!exec} and {!exec_dp_nr} are the
+    compiled engine's execution primitives: in lib/ only
+    [Pf_cpu.Step.step] and the block driver [Pf_cpu.Cexec.run] call
+    them (a lint rule). *)
 
 (** One predecoded instruction.  All fields are immutable and resolved at
     predecode time; the runners read the metadata fields directly. *)

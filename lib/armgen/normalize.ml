@@ -11,11 +11,30 @@ let rec contains_call = function
   | Unop (_, a) -> contains_call a
   | Call _ -> true
 
+let rec reads_memory = function
+  | Int _ | Var _ | Global_addr _ -> false
+  | Load _ | Call _ -> true
+  | Binop (_, a, b) | Cmp (_, a, b) -> reads_memory a || reads_memory b
+  | Unop (_, a) -> reads_memory a
+
 type ctx = { mutable fresh : int }
 
 let fresh_var ctx =
   ctx.fresh <- ctx.fresh + 1;
   Printf.sprintf "$t%d" ctx.fresh
+
+(* Operands evaluate left to right, as in [Pf_kir.Eval]: an operand is
+   rewritten (and its calls hoisted) before the next one.  A hoisted call
+   runs ahead of the whole statement, so when a later operand contains a
+   call, an earlier operand that still reads memory is pinned in a temp
+   first — otherwise it would see the call's stores. *)
+let pin ctx emit ~before e =
+  if contains_call before && reads_memory e then begin
+    let t = fresh_var ctx in
+    emit (Let (t, e));
+    Var t
+  end
+  else e
 
 (* Rewrite [e], emitting hoisted statements through [emit].  When [top] is
    true the expression is the full right-hand side of a Let/Assign/Expr, so
@@ -25,10 +44,12 @@ let rec rw_expr ctx emit ~top e =
   | Int _ | Var _ | Global_addr _ -> e
   | Load l -> Load { l with addr = rw_expr ctx emit ~top:false l.addr }
   | Binop (op, a, b) ->
-      Binop (op, rw_expr ctx emit ~top:false a, rw_expr ctx emit ~top:false b)
+      let a = rw_pair ctx emit a ~before:b in
+      Binop (op, a, rw_expr ctx emit ~top:false b)
   | Unop (op, a) -> Unop (op, rw_expr ctx emit ~top:false a)
   | Cmp (op, a, b) ->
-      Cmp (op, rw_expr ctx emit ~top:false a, rw_expr ctx emit ~top:false b)
+      let a = rw_pair ctx emit a ~before:b in
+      Cmp (op, a, rw_expr ctx emit ~top:false b)
   | Call (f, args) ->
       let args =
         List.map
@@ -50,6 +71,10 @@ let rec rw_expr ctx emit ~top e =
         Var t
       end
 
+(* The first operand of a pair, rewritten and pinned against [before]. *)
+and rw_pair ctx emit a ~before =
+  pin ctx emit ~before (rw_expr ctx emit ~top:false a)
+
 let rw_top ctx emit e = rw_expr ctx emit ~top:true e
 let rw_sub ctx emit e = rw_expr ctx emit ~top:false e
 
@@ -61,7 +86,7 @@ let rec rw_stmt ctx s =
   | Let (x, e) -> finish (Let (x, rw_top ctx emit e))
   | Assign (x, e) -> finish (Assign (x, rw_top ctx emit e))
   | Store { scale; addr; value } ->
-      let addr = rw_sub ctx emit addr in
+      let addr = pin ctx emit ~before:value (rw_sub ctx emit addr) in
       let value = rw_sub ctx emit value in
       finish (Store { scale; addr; value })
   | If (c, t, e) ->

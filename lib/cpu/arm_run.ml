@@ -1,5 +1,4 @@
 module A = Pf_arm.Insn
-module Px = Pf_arm.Pexec
 
 module Meta = struct
   let classify (i : A.t) =
@@ -35,7 +34,7 @@ let build_meta (image : Pf_arm.Image.t) =
       | None -> None)
     image.Pf_arm.Image.insns
 
-type engine = Reference | Predecoded | Compiled
+type engine = Reference | Compiled
 
 type result = {
   instructions : int;
@@ -54,335 +53,9 @@ let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
 let dcache_cfg = Trace.dcache_cfg
 
-let where = "arm.exec"
-
-let fetch_fault pc =
-  Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-    "undecodable instruction fetch at 0x%x" pc
-
-(* Specialized fetch-execute-issue loops over a predecoded program: the
-   shell of [Exec.run] (same watchdog, deadline polling, fault conditions)
-   with the pipeline call inlined and the [trace] option dispatch hoisted
-   out of the loop.  Nothing in the body allocates. *)
-let run_predecoded ~max_steps ~deadline ~trace (p : Px.program)
-    (st : Pf_arm.Exec.t) pipe =
-  let o = Pf_arm.Exec.outcome () in
-  let uops = p.Px.uops in
-  let n = Array.length uops in
-  let cb = p.Px.code_base in
-  let regs = st.Pf_arm.Exec.regs in
-  match trace with
-  | None ->
-      while not st.Pf_arm.Exec.halted do
-        let pc = regs.(15) in
-        if pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
-        else begin
-          if st.Pf_arm.Exec.steps >= max_steps then
-            Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where
-              "step budget exhausted (%d)" max_steps;
-          if st.Pf_arm.Exec.steps land Pf_arm.Exec.deadline_mask = 0 then
-            Pf_util.Deadline.check ~where deadline;
-          let off = pc - cb in
-          let idx = off lsr 2 in
-          if off < 0 || off land 3 <> 0 || idx >= n then fetch_fault pc;
-          let u = uops.(idx) in
-          if u.Px.code = Px.code_undef then fetch_fault pc;
-          Px.exec st o u;
-          regs.(15) <- o.Pf_arm.Exec.next_pc;
-          Pipeline.issue pipe ~backward:u.Px.backward
-            ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:pc ~size:4
-            ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-            ~writes:u.Px.writes ~taken:o.Pf_arm.Exec.branch_taken
-            ~mem_words:o.Pf_arm.Exec.mem_words
-        end
-      done
-  | Some t ->
-      while not st.Pf_arm.Exec.halted do
-        let pc = regs.(15) in
-        if pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
-        else begin
-          if st.Pf_arm.Exec.steps >= max_steps then
-            Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where
-              "step budget exhausted (%d)" max_steps;
-          if st.Pf_arm.Exec.steps land Pf_arm.Exec.deadline_mask = 0 then
-            Pf_util.Deadline.check ~where deadline;
-          let off = pc - cb in
-          let idx = off lsr 2 in
-          if off < 0 || off land 3 <> 0 || idx >= n then fetch_fault pc;
-          let u = uops.(idx) in
-          if u.Px.code = Px.code_undef then fetch_fault pc;
-          Px.exec st o u;
-          regs.(15) <- o.Pf_arm.Exec.next_pc;
-          let cls = Trace.cls_of_code u.Px.cls in
-          let taken = o.Pf_arm.Exec.branch_taken in
-          let mem_words = o.Pf_arm.Exec.mem_words in
-          Pipeline.issue pipe ~backward:u.Px.backward
-            ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:pc ~size:4
-            ~cls ~reads:u.Px.reads ~writes:u.Px.writes ~taken ~mem_words;
-          Trace.record t ~addr:pc ~cls ~reads:u.Px.reads ~writes:u.Px.writes
-            ~taken ~backward:u.Px.backward
-            ~dmisses:(Pipeline.last_dcache_misses pipe)
-            ~mem_words
-        end
-      done
-
-(* Block-compiled driver: dispatch once per basic block ([Pf_arm.Bexec]),
-   with the watchdog, deadline poll and fault conditions moved to block
-   granularity — except when a step-budget exhaustion or a deadline poll
-   would land {e inside} the next block, or the block is a legality
-   fallback, in which case ONE instruction is executed with the exact
-   per-instruction body above, so every raise and every poll happens at
-   precisely the same step count and pc as [run_predecoded].  Within a
-   fused block, per-instruction work is driven by the compiler's shapes:
-   dead compares only count and issue, straight-line DP ops skip the
-   condition test and outcome resets, and only the terminator's dynamic
-   next-pc is consulted for control flow. *)
-let run_compiled ~max_steps ~deadline ~trace (p : Px.program)
-    (st : Pf_arm.Exec.t) pipe ~words =
-  let o = Pf_arm.Exec.outcome () in
-  let uops = p.Px.uops in
-  let n = Array.length uops in
-  let cb = p.Px.code_base in
-  let regs = st.Pf_arm.Exec.regs in
-  let cx = Cexec.create ~isize:4 ~code_base:cb (Pf_arm.Bexec.create uops) in
-  let dmask = Pf_arm.Exec.deadline_mask in
-  let sh_dp = Pf_arm.Bexec.sh_dp in
-  let seq_tog = Pipeline.seq_toggle_prefix ~words in
-  let wbase = cb lsr 2 in
-  (* run-scan cursors, hoisted so block dispatch allocates nothing *)
-  let i = ref 0 and j = ref 0 in
-  match trace with
-  | None ->
-      while not st.Pf_arm.Exec.halted do
-        let pc = regs.(15) in
-        if pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
-        else begin
-          let off = pc - cb in
-          let idx = off lsr 2 in
-          if off < 0 || off land 3 <> 0 || idx >= n then fetch_fault pc;
-          let cbk = Cexec.block_at cx idx in
-          let bb = cbk.Cexec.bb in
-          let len = bb.Pf_arm.Bexec.len in
-          let steps = st.Pf_arm.Exec.steps in
-          if
-            bb.Pf_arm.Bexec.fallback
-            || steps + len > max_steps
-            || (steps + dmask) land lnot dmask < steps + len
-          then begin
-            (* boundary mode: one exact per-instruction step *)
-            if steps >= max_steps then
-              Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout
-                ~where "step budget exhausted (%d)" max_steps;
-            if steps land dmask = 0 then Pf_util.Deadline.check ~where deadline;
-            let u = uops.(idx) in
-            if u.Px.code = Px.code_undef then fetch_fault pc;
-            Px.exec st o u;
-            regs.(15) <- o.Pf_arm.Exec.next_pc;
-            Pipeline.issue pipe ~backward:u.Px.backward
-              ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:pc ~size:4
-              ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-              ~writes:u.Px.writes ~taken:o.Pf_arm.Exec.branch_taken
-              ~mem_words:o.Pf_arm.Exec.mem_words
-          end
-          else begin
-            bb.Pf_arm.Bexec.execs <- bb.Pf_arm.Bexec.execs + 1;
-            let xu = bb.Pf_arm.Bexec.xuops in
-            let shapes = bb.Pf_arm.Bexec.shapes in
-            let pairs = cbk.Cexec.pairs in
-            (* Maximal runs of ALU-shaped instructions execute first, then
-               issue as one span: execution never reads the pipeline and
-               the span issue never reads architectural state, and neither
-               a dead compare nor a straight-line DP op can fault, so the
-               reordering within a run is unobservable.  [pairs] holds the
-               run's packed (addr, meta) events, precomputed at
-               block-compile time. *)
-            i := 0;
-            while !i < len do
-              let sh = Array.unsafe_get shapes !i in
-              if sh <= sh_dp then begin
-                j := !i + 1;
-                while !j < len && Array.unsafe_get shapes !j <= sh_dp do
-                  incr j
-                done;
-                for k = !i to !j - 1 do
-                  if Array.unsafe_get shapes k = sh_dp then
-                    Px.exec_dp_nr st o (Array.unsafe_get xu k)
-                  else st.Pf_arm.Exec.steps <- st.Pf_arm.Exec.steps + 1
-                done;
-                Pipeline.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                  ~n:(!j - !i) ~size:4 ~seq_tog ~wbase;
-                i := !j
-              end
-              else begin
-                let u = Array.unsafe_get xu !i in
-                Px.exec st o u;
-                Pipeline.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1)
-                  ~addr:(pc + (!i lsl 2)) ~size:4
-                  ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-                  ~writes:u.Px.writes ~taken:o.Pf_arm.Exec.branch_taken
-                  ~mem_words:o.Pf_arm.Exec.mem_words;
-                incr i
-              end
-            done;
-            regs.(15) <-
-              (if bb.Pf_arm.Bexec.has_term then o.Pf_arm.Exec.next_pc
-               else pc + (len lsl 2))
-          end
-        end
-      done
-  | Some t ->
-      while not st.Pf_arm.Exec.halted do
-        let pc = regs.(15) in
-        if pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
-        else begin
-          let off = pc - cb in
-          let idx = off lsr 2 in
-          if off < 0 || off land 3 <> 0 || idx >= n then fetch_fault pc;
-          let cbk = Cexec.block_at cx idx in
-          let bb = cbk.Cexec.bb in
-          let len = bb.Pf_arm.Bexec.len in
-          let steps = st.Pf_arm.Exec.steps in
-          if
-            bb.Pf_arm.Bexec.fallback
-            || steps + len > max_steps
-            || (steps + dmask) land lnot dmask < steps + len
-          then begin
-            if steps >= max_steps then
-              Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout
-                ~where "step budget exhausted (%d)" max_steps;
-            if steps land dmask = 0 then Pf_util.Deadline.check ~where deadline;
-            let u = uops.(idx) in
-            if u.Px.code = Px.code_undef then fetch_fault pc;
-            Px.exec st o u;
-            regs.(15) <- o.Pf_arm.Exec.next_pc;
-            let cls = Trace.cls_of_code u.Px.cls in
-            let taken = o.Pf_arm.Exec.branch_taken in
-            let mem_words = o.Pf_arm.Exec.mem_words in
-            Pipeline.issue pipe ~backward:u.Px.backward
-              ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:pc ~size:4
-              ~cls ~reads:u.Px.reads ~writes:u.Px.writes ~taken ~mem_words;
-            Trace.record t ~addr:pc ~cls ~reads:u.Px.reads ~writes:u.Px.writes
-              ~taken ~backward:u.Px.backward
-              ~dmisses:(Pipeline.last_dcache_misses pipe)
-              ~mem_words
-          end
-          else begin
-            bb.Pf_arm.Bexec.execs <- bb.Pf_arm.Bexec.execs + 1;
-            let xu = bb.Pf_arm.Bexec.xuops in
-            let shapes = bb.Pf_arm.Bexec.shapes in
-            let metas = cbk.Cexec.metas in
-            let pairs = cbk.Cexec.pairs in
-            (* same run-scan as the untraced loop; each ALU span also
-               bulk-records its precomputed (addr, meta) pairs *)
-            i := 0;
-            while !i < len do
-              let sh = Array.unsafe_get shapes !i in
-              if sh <= sh_dp then begin
-                j := !i + 1;
-                while !j < len && Array.unsafe_get shapes !j <= sh_dp do
-                  incr j
-                done;
-                for k = !i to !j - 1 do
-                  if Array.unsafe_get shapes k = sh_dp then
-                    Px.exec_dp_nr st o (Array.unsafe_get xu k)
-                  else st.Pf_arm.Exec.steps <- st.Pf_arm.Exec.steps + 1
-                done;
-                Pipeline.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                  ~n:(!j - !i) ~size:4 ~seq_tog ~wbase;
-                let tid =
-                  if cbk.Cexec.tid >= 0 then cbk.Cexec.tid
-                  else begin
-                    let id = Trace.register_pairs t pairs in
-                    cbk.Cexec.tid <- id;
-                    id
-                  end
-                in
-                Trace.record_span t ~tid ~pos:(2 * !i) ~n:(!j - !i);
-                i := !j
-              end
-              else begin
-                let u = Array.unsafe_get xu !i in
-                let m = Array.unsafe_get metas !i in
-                let a = pc + (!i lsl 2) in
-                Px.exec st o u;
-                let taken = o.Pf_arm.Exec.branch_taken in
-                let mem_words = o.Pf_arm.Exec.mem_words in
-                Pipeline.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:a
-                  ~size:4 ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-                  ~writes:u.Px.writes ~taken ~mem_words;
-                Trace.record_packed t ~addr:a
-                  ~meta:
-                    (m
-                    lor Trace.dynamic_meta ~taken ~mem_words
-                          ~dmisses:(Pipeline.last_dcache_misses pipe));
-                incr i
-              end
-            done;
-            regs.(15) <-
-              (if bb.Pf_arm.Bexec.has_term then o.Pf_arm.Exec.next_pc
-               else pc + (len lsl 2))
-          end
-        end
-      done
-
-let run ?(engine = Predecoded) ?cache ?(cache_cfg = default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(classify = false) ?max_steps ?deadline
-    ?trace (image : Pf_arm.Image.t) =
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
-  in
-  let dcache = Pf_cache.Icache.create dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
-  let fetch_data addr = Pf_arm.Image.word_at image addr in
-  let pipe =
-    Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
-      ()
-  in
-  let st = Pf_arm.Exec.create image in
-  (match engine with
-  | Predecoded ->
-      let p = Px.compile image in
-      let max_steps =
-        match max_steps with Some n -> n | None -> 500_000_000
-      in
-      run_predecoded ~max_steps ~deadline ~trace p st pipe
-  | Compiled ->
-      let p = Px.compile image in
-      let max_steps =
-        match max_steps with Some n -> n | None -> 500_000_000
-      in
-      run_compiled ~max_steps ~deadline ~trace p st pipe
-        ~words:image.Pf_arm.Image.words
-  | Reference ->
-      let metas = build_meta image in
-      let code_base = image.Pf_arm.Image.code_base in
-      Pf_arm.Exec.run ?max_steps ?deadline st ~on_step:(fun _ ~pc insn o ->
-          let m =
-            match metas.((pc - code_base) lsr 2) with
-            | Some m -> m
-            | None ->
-                Pf_util.Sim_error.raisef Pf_util.Sim_error.Internal
-                  ~where:"cpu.arm_run" "no metadata for pc 0x%x" pc
-          in
-          ignore insn;
-          let taken = o.Pf_arm.Exec.branch_taken in
-          let mem_addr = o.Pf_arm.Exec.mem_addr in
-          let mem_words = o.Pf_arm.Exec.mem_words in
-          Pipeline.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1)
-            ~addr:pc ~size:4 ~cls:m.cls ~reads:m.reads ~writes:m.writes
-            ~taken ~mem_words;
-          match trace with
-          | Some t ->
-              Trace.record t ~addr:pc ~cls:m.cls ~reads:m.reads
-                ~writes:m.writes ~taken ~backward:m.backward
-                ~dmisses:(Pipeline.last_dcache_misses pipe)
-                ~mem_words
-          | None -> ()));
+(* A finished run's report, read off its stack; also publishes the
+   D-cache miss rate into the recording, which replay needs. *)
+let report ?trace ~pipe ~cache ~dcache ~account st =
   (match trace with
   | Some t ->
       Trace.set_dcache_rate t (Pf_cache.Icache.miss_rate_per_million dcache)
@@ -399,6 +72,66 @@ let run ?(engine = Predecoded) ?cache ?(cache_cfg = default_cache_cfg)
     dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache;
     power = Pf_power.Account.report account;
   }
+
+(* The reference oracle: [Pf_arm.Exec.run] re-decoding every dynamic step,
+   with its own stack and metadata, sharing nothing with [Step]. *)
+let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
+  let cache =
+    match cache with
+    | Some c -> c
+    | None -> Pf_cache.Icache.create ~classify cache_cfg
+  in
+  let dcache = Pf_cache.Icache.create dcache_cfg in
+  let geometry = Pf_power.Geometry.of_config cache_cfg in
+  let account = Pf_power.Account.create ?params:power_params geometry in
+  let fetch_data addr = Pf_arm.Image.word_at image addr in
+  let pipe =
+    Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
+      ()
+  in
+  let st = Pf_arm.Exec.create image in
+  let metas = build_meta image in
+  let code_base = image.Pf_arm.Image.code_base in
+  Pf_arm.Exec.run ?max_steps ?deadline st ~on_step:(fun _ ~pc insn o ->
+      let m =
+        match metas.((pc - code_base) lsr 2) with
+        | Some m -> m
+        | None ->
+            Pf_util.Sim_error.raisef Pf_util.Sim_error.Internal
+              ~where:"cpu.arm_run" "no metadata for pc 0x%x" pc
+      in
+      ignore insn;
+      let taken = o.Pf_arm.Exec.branch_taken in
+      let mem_addr = o.Pf_arm.Exec.mem_addr in
+      let mem_words = o.Pf_arm.Exec.mem_words in
+      Pipeline.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1)
+        ~addr:pc ~size:4 ~cls:m.cls ~reads:m.reads ~writes:m.writes
+        ~taken ~mem_words;
+      match trace with
+      | Some t ->
+          Trace.record t ~addr:pc ~cls:m.cls ~reads:m.reads
+            ~writes:m.writes ~taken ~backward:m.backward
+            ~dmisses:(Pipeline.last_dcache_misses pipe)
+            ~mem_words
+      | None -> ());
+  report ?trace ~pipe ~cache ~dcache ~account st
+
+let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
+    ?pipeline_cfg ?power_params ?(classify = false) ?max_steps ?deadline
+    ?trace image =
+  match engine with
+  | Reference ->
+      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+        ?max_steps ?deadline ?trace image
+  | Compiled ->
+      let s =
+        Step.of_image ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+          ?max_steps ?deadline ?trace image
+      in
+      Cexec.run s;
+      report ?trace ~pipe:s.Step.pipe ~cache:s.Step.cache ~dcache:s.Step.dcache
+        ~account:s.Step.account s.Step.st
 
 let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~output
     (image : Pf_arm.Image.t) trace =

@@ -19,18 +19,16 @@ type result = {
 val dcache_cfg : Pf_cache.Icache.config
 (** The fixed SA-1100-like 8 KB data cache used by both runners. *)
 
-(** Which interpreter drives the run.  [Predecoded] (the default) executes
-    {!Pf_arm.Pexec} micro-ops — statically decoded once, allocation-free
-    per step; [Compiled] additionally groups them into basic blocks
-    ({!Pf_arm.Bexec}) and dispatches per block, with dead flag writes
-    elided, the per-instruction condition/bounds/outcome work hoisted and
-    watchdog/deadline checks honored at exact per-instruction granularity
-    via a boundary single-step mode; [Reference] walks
-    {!Pf_arm.Exec.run} re-deriving everything per dynamic step.  Results
-    — cycles, toggles, every power float, recorded traces, outputs, fault
-    pcs — are bit-identical across all three; the reference engine is
-    kept as the differential-testing oracle. *)
-type engine = Reference | Predecoded | Compiled
+(** Which interpreter drives the run.  [Compiled] (the default) builds a
+    {!Step.t} over {!Pf_arm.Pexec} micro-ops and hands it to the block
+    driver {!Cexec.run}, which dispatches per basic block and steps one
+    instruction at a time through {!Step.step} wherever a cutoff, fault
+    or fallback demands exactness.  [Reference] walks {!Pf_arm.Exec.run}
+    re-deriving everything per dynamic step, sharing no code with
+    [Step]: it is the differential-testing oracle.  Results — cycles,
+    toggles, every power float, recorded traces, outputs, fault texts —
+    are bit-identical across both. *)
+type engine = Reference | Compiled
 
 val run :
   ?engine:engine ->

@@ -1,37 +1,19 @@
-(** Compiled-block tables for the [Compiled] engine: each
-    {!Pf_arm.Bexec.block} paired with precomputed per-instruction
-    {!Trace.static_meta} words and the packed (addr, meta) event pairs
-    those imply, so recording drivers emit block-granular trace events
-    ({!Trace.record_span} into the registered [pairs] table) and dispatch
-    fused ALU runs as single {!Pipeline.issue_alu_span} calls.  Lazily
-    built, like the underlying block table. *)
+(** The block driver of the [Compiled] engine, one loop for both ISAs.
 
-type cblock = {
-  bb : Pf_arm.Bexec.block;
-  metas : int array;
-      (** [Trace.static_meta] of each instruction (original micro-op
-          metadata); index-aligned with [bb.xuops]/[bb.shapes] *)
-  pairs : int array;
-      (** [2 * len] ints: slot [2i] the fetch address of instruction [i]
-          (a block-compile-time constant — blocks are straight-line),
-          slot [2i+1] = [metas.(i)].  Exactly the event layout
-          {!Pipeline.issue_alu_span} consumes and {!Trace.register_pairs}
-          aliases for the span of instructions \[i, i+n). *)
-  mutable tid : int;
-      (** {!Trace.register_pairs} id of [pairs] in the run's trace; -1
-          until the block first records *)
-}
+    Dispatches once per basic block ({!Pf_arm.Bexec}): maximal runs of
+    ALU-shaped instructions execute first and issue as one
+    {!Pipeline.issue_alu_seq_span} call, recording runs emit
+    block-granular trace events ({!Trace.record_span} over a registered
+    (addr, meta) table), and FITS source-retirement counts are summed per
+    block at block-compile time.  Blocks are built lazily.
 
-type t
+    The halt transition, faulting fetches, legality-fallback blocks and
+    every block inside which a step-budget exhaustion or a deadline poll
+    would land run one instruction at a time through {!Step.step}, so
+    cutoffs, faults and polls happen at exactly the step count and pc of
+    the per-instruction loop. *)
 
-val create : isize:int -> code_base:int -> Pf_arm.Bexec.t -> t
-(** [isize] (4 = ARM, 2 = FITS) and [code_base] place each block's
-    instructions at their fetch addresses
-    [code_base + isize * (bb.start + i)] in the packed [pairs]. *)
-
-val block_at : t -> int -> cblock
-(** The compiled block with leader slot [s], built and cached on first
-    use. *)
-
-val bexec : t -> Pf_arm.Bexec.t
-(** The underlying block table (probe statistics). *)
+val run : Step.t -> unit
+(** Run the stepper's program to halt (or to the first raise).  Reads
+    and writes the stepper's state directly; {!Step.result} afterwards
+    reports the run.  Allocates only when a block is first built. *)

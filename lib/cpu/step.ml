@@ -1,23 +1,17 @@
 module Px = Pf_arm.Pexec
 
-(* Per-core single-instruction stepper.
+(* The per-instruction body of every fast run, for both ISAs.
 
-   The sequential engines ([Arm_run], [Pf_fits.Run]) own their whole
-   fetch-execute loop: they run one program to completion.  A multicore
-   machine needs the OPPOSITE control inversion — a scheduler picks which
-   core advances next, one instruction at a time — without forking the
-   engine semantics.  [Step] is [Arm_run.run_predecoded]'s loop body (and
-   its FITS twin's) factored into a resumable object: same watchdog, same
-   deadline polling, same fault conditions, same [Pipeline.issue] call,
-   executed once per [step].  A core carries its own architectural state,
-   predecoded micro-ops, private I-cache/D-cache, pipeline and power
-   account, so per-core PowerFITS accounting falls out unchanged; the
-   machine layer sums the per-core reports.
-
-   One [step] of a single-core machine is bit-identical to one iteration
-   of the sequential predecoded loops (the mc test suite pins ARM cores
-   against [Arm_run.run ~engine:Predecoded] field by field, floats by
-   their IEEE bits). *)
+   A stepper is one core: architectural state, predecoded micro-ops,
+   private I-cache/D-cache, pipeline and power account.  [step] executes
+   exactly one instruction — watchdog, deadline poll, fetch and decode
+   faults, [Pipeline.issue], optional trace record and the FITS
+   source-retirement counts — and nothing else in the tree repeats that
+   body: the block driver ([Cexec.run]) calls it for boundary steps and
+   legality fallbacks, the FITS [on_step] hook loops it, and a multicore
+   machine interleaves cores one [step] at a time.  The reference
+   interpreters in [Arm_run] and [Pf_fits.Run] stay independent: they
+   are the oracles this body is checked against. *)
 
 type result = {
   instructions : int;
@@ -39,9 +33,11 @@ type t = {
   uops : Px.uop array;
   n : int;
   code_base : int;
+  words : int array;
   isize : int;
-  ishift : int;             (* log2 isize: slot = offset lsr ishift *)
-  align_mask : int;         (* isize - 1 *)
+  ishift : int;
+  align_mask : int;
+  where : string;
   pipe : Pipeline.t;
   cache : Pf_cache.Icache.t;
   dcache : Pf_cache.Icache.t;
@@ -49,31 +45,48 @@ type t = {
   max_steps : int;
   deadline : Pf_util.Deadline.t option;
   trace : Trace.t option;
-  (* FITS source-retirement bookkeeping; empty arrays on ARM cores (every
-     retirement is its own source instruction) *)
   src_first : bool array;
   src_single : bool array;
   mutable pc : int;
-  mutable steps : int;
   mutable src_retired : int;
   mutable src_one : int;
 }
 
-let where = "cpu.step"
+(* Each ISA keeps the fault origin ([t.where]) and text its runner has
+   always reported. *)
+let budget_fault t =
+  Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where:t.where
+    "%sstep budget exhausted (%d)"
+    (if t.isize = 4 then "" else "FITS ")
+    t.max_steps
 
-let fetch_fault pc =
-  Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-    "instruction fetch outside code at 0x%x" pc
+let fetch_fault t pc =
+  if t.isize = 4 then
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where:t.where
+      "undecodable instruction fetch at 0x%x" pc
+  else
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where:t.where
+      "FITS fetch outside code at 0x%x" pc
+
+let undef_fault t pc (u : Px.uop) =
+  if t.isize = 4 then fetch_fault t pc
+  else
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where:t.where
+      "corrupted decoder entry at 0x%x: %s" pc u.Px.why
 
 let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
-let create ?(cache_cfg = default_cache_cfg) ?pipeline_cfg ?power_params
-    ?(classify = false) ?(max_steps = 500_000_000) ?deadline ?trace ?src
-    ~isize ~code_base ~words ~entry ~uops st =
+let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
+    ?power_params ?(classify = false) ?(max_steps = 500_000_000) ?deadline
+    ?trace ?src ~isize ~code_base ~words ~entry ~uops st =
   if isize <> 2 && isize <> 4 then
-    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cpu.step"
       "isize must be 2 (FITS) or 4 (ARM), got %d" isize;
-  let cache = Pf_cache.Icache.create ~classify cache_cfg in
+  let cache =
+    match cache with
+    | Some c -> c
+    | None -> Pf_cache.Icache.create ~classify cache_cfg
+  in
   let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
   let account = Pf_power.Account.create ?params:power_params geometry in
@@ -88,7 +101,8 @@ let create ?(cache_cfg = default_cache_cfg) ?pipeline_cfg ?power_params
         if Array.length f <> Array.length uops
            || Array.length s <> Array.length uops
         then
-          Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where
+          Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+            ~where:"cpu.step"
             "src metadata length %d/%d does not match %d micro-op slots"
             (Array.length f) (Array.length s) (Array.length uops);
         (f, s)
@@ -100,9 +114,11 @@ let create ?(cache_cfg = default_cache_cfg) ?pipeline_cfg ?power_params
     uops;
     n = Array.length uops;
     code_base;
+    words;
     isize;
     ishift = (if isize = 4 then 2 else 1);
     align_mask = isize - 1;
+    where = (if isize = 4 then "arm.exec" else "fits.run");
     pipe;
     cache;
     dcache;
@@ -113,24 +129,22 @@ let create ?(cache_cfg = default_cache_cfg) ?pipeline_cfg ?power_params
     src_first;
     src_single;
     pc = entry;
-    steps = 0;
     src_retired = 0;
     src_one = 0;
   }
 
-let of_image ?cache_cfg ?pipeline_cfg ?power_params ?classify ?max_steps
-    ?deadline ?trace (image : Pf_arm.Image.t) =
+let of_image ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
+    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
   let p = Px.compile image in
-  create ?cache_cfg ?pipeline_cfg ?power_params ?classify ?max_steps
+  create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify ?max_steps
     ?deadline ?trace ~isize:4 ~code_base:p.Px.code_base
     ~words:image.Pf_arm.Image.words ~entry:p.Px.entry ~uops:p.Px.uops
     (Pf_arm.Exec.create image)
 
 let halted t = t.st.Pf_arm.Exec.halted
-let steps t = t.steps
+let steps t = t.st.Pf_arm.Exec.steps
 let state t = t.st
 let dcache t = t.dcache
-let pc t = t.pc
 
 let step t =
   let st = t.st in
@@ -142,25 +156,22 @@ let step t =
       t.o.Pf_arm.Exec.mem_addr <- -1
     end
     else begin
-      if t.steps >= t.max_steps then
-        Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where
-          "step budget exhausted (%d)" t.max_steps;
-      if t.steps land Pf_arm.Exec.deadline_mask = 0 then
-        Pf_util.Deadline.check ~where t.deadline;
+      let steps = st.Pf_arm.Exec.steps in
+      if steps >= t.max_steps then budget_fault t;
+      if steps land Pf_arm.Exec.deadline_mask = 0 then
+        Pf_util.Deadline.check ~where:t.where t.deadline;
       let off = pc - t.code_base in
       let idx = off lsr t.ishift in
       if off < 0 || off land t.align_mask <> 0 || idx >= t.n then
-        fetch_fault pc;
+        fetch_fault t pc;
       let u = t.uops.(idx) in
-      if u.Px.code = Px.code_undef then
-        Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-          "undecodable slot at 0x%x: %s" pc u.Px.why;
+      if u.Px.code = Px.code_undef then undef_fault t pc u;
       let o = t.o in
       Px.exec st o u;
       t.pc <- o.Pf_arm.Exec.next_pc;
-      (* the ARM loop keeps the pc in r15; the FITS loop keeps it in a
-         local and leaves r15 untouched (r15 reads go through the
-         precomputed [pc8]) — match each exactly *)
+      (* an ARM core keeps its pc in r15 as the reference interpreter
+         does; a FITS core leaves r15 alone (r15 reads go through the
+         precomputed [pc8]) *)
       if t.isize = 4 then st.Pf_arm.Exec.regs.(15) <- o.Pf_arm.Exec.next_pc;
       let cls = Trace.cls_of_code u.Px.cls in
       let taken = o.Pf_arm.Exec.branch_taken in
@@ -175,13 +186,10 @@ let step t =
             ~taken ~backward:u.Px.backward
             ~dmisses:(Pipeline.last_dcache_misses t.pipe)
             ~mem_words);
-      if Array.length t.src_first > 0 then begin
-        if t.src_first.(idx) then begin
-          t.src_retired <- t.src_retired + 1;
-          if t.src_single.(idx) then t.src_one <- t.src_one + 1
-        end
-      end;
-      t.steps <- t.steps + 1
+      if Array.length t.src_first > 0 && t.src_first.(idx) then begin
+        t.src_retired <- t.src_retired + 1;
+        if t.src_single.(idx) then t.src_one <- t.src_one + 1
+      end
     end
   end
 

@@ -1,18 +1,21 @@
-(** Per-core single-instruction stepper: the sequential predecoded loop
-    body ({!Arm_run} and its FITS twin) factored into a resumable object,
-    so a multicore scheduler can interleave cores one instruction at a
-    time without forking the engine semantics.
+(** The per-instruction body of every fast run, for both ISAs.
 
     Each [t] is one core: architectural state, predecoded micro-ops,
     private I-cache, private D-cache, pipeline and power account.  One
-    {!step} performs exactly one iteration of the sequential loops — same
-    watchdog, same deadline polling (every [Exec.deadline_mask + 1]
-    steps), same fault conditions, same {!Pipeline.issue} call, optional
-    {!Trace.record} — so a single-core machine is bit-identical to
-    [Arm_run.run ~engine:Predecoded] / [Pf_fits.Run.run ~engine:Predecoded]
-    field by field (floats by their IEEE bits; the mc test suite pins
-    this).  Per-core PowerFITS accounting falls out unchanged; the
-    machine layer ({!Pf_mc.Machine}) sums the per-core reports. *)
+    {!step} executes exactly one instruction: the watchdog, the deadline
+    poll (every [Exec.deadline_mask + 1] steps), the fetch and decode
+    faults, one {!Pipeline.issue} call, an optional {!Trace.record} and,
+    on FITS cores, the source-retirement counts.
+
+    This is the only copy of that body.  The compiled engine's block
+    driver ({!Cexec.run}) calls it for boundary steps and fallback
+    blocks, [Pf_fits.Run.run ~on_step] loops it, and a multicore machine
+    ({!Pf_mc.Machine}) interleaves cores one [step] at a time.  A
+    single-core machine is therefore bit-identical to the sequential
+    runners field by field (floats by their IEEE bits; the mc and
+    differential tests pin this).  The reference interpreters in
+    {!Arm_run} and [Pf_fits.Run] are independent of it: they are the
+    oracles it is checked against. *)
 
 type result = {
   instructions : int;       (** retired instructions at this core's isize *)
@@ -30,12 +33,37 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-type t
-
-val default_cache_cfg : Pf_cache.Icache.config
-(** 16 KB, the ARM baseline geometry ({!Arm_run.default_cache_cfg}). *)
+(** A stepper.  The fields are exposed for the engine built on it: the
+    block driver ({!Cexec}) advances the same state a block at a time,
+    and the runners ({!Arm_run}, [Pf_fits.Run]) report from its stack.
+    Every other caller goes through the functions below. *)
+type t = {
+  st : Pf_arm.Exec.t;           (** [st.steps] is the watchdog counter *)
+  o : Pf_arm.Exec.outcome;
+  uops : Pf_arm.Pexec.uop array;
+  n : int;
+  code_base : int;
+  words : int array;
+  isize : int;
+  ishift : int;                 (** log2 isize: slot = offset lsr ishift *)
+  align_mask : int;             (** isize - 1 *)
+  where : string;               (** ["arm.exec"] or ["fits.run"] *)
+  pipe : Pipeline.t;
+  cache : Pf_cache.Icache.t;
+  dcache : Pf_cache.Icache.t;
+  account : Pf_power.Account.t;
+  max_steps : int;
+  deadline : Pf_util.Deadline.t option;
+  trace : Trace.t option;
+  src_first : bool array;       (** empty on ARM cores *)
+  src_single : bool array;
+  mutable pc : int;
+  mutable src_retired : int;
+  mutable src_one : int;
+}
 
 val create :
+  ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
@@ -52,14 +80,19 @@ val create :
   Pf_arm.Exec.t ->
   t
 (** Build a core over an already-predecoded stream.  [isize] is 4 (ARM)
-    or 2 (FITS); [words] backs sequential-fetch toggle accounting and is
-    indexed from [code_base] in 32-bit words.  [src], for FITS cores,
-    gives per-slot (first-of-group, group-is-singleton) flags indexed
-    like [uops] — they drive the source-instruction counts the FITS
-    runner reports.  [max_steps] (default 500 million) is the per-core
-    watchdog; [trace] must be created with the matching [isize]. *)
+    or 2 (FITS) and also picks the fault texts and origin each ISA's
+    runner reports; [words] backs sequential-fetch toggle accounting and
+    is indexed from [code_base] in 32-bit words.  [cache_cfg] defaults to
+    16 KB, the ARM baseline geometry.  [cache] substitutes a
+    pre-built I-cache (as the runners' [?cache] does); its geometry must
+    match [cache_cfg], which still drives the power model.  [src], for
+    FITS cores, gives per-slot (first-of-group, group-is-singleton) flags
+    indexed like [uops] — they drive the source-instruction counts.
+    [max_steps] (default 500 million) is the watchdog; [trace] must be
+    created with the matching [isize]. *)
 
 val of_image :
+  ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
@@ -75,15 +108,13 @@ val of_image :
 val step : t -> unit
 (** Advance the core by exactly one instruction (or by the halt
     transition when the pc reaches the sentinel).  No-op once halted.
-    Raises the engines' structured errors ([Watchdog_timeout],
-    [Decode_fault], deadline expiry) under [where = "cpu.step"]. *)
+    Raises the runners' structured errors ([Watchdog_timeout],
+    [Decode_fault], deadline expiry) with their texts. *)
 
 val halted : t -> bool
 
 val steps : t -> int
 (** Instructions retired so far (the watchdog counter). *)
-
-val pc : t -> int
 
 val state : t -> Pf_arm.Exec.t
 (** The architectural state — shared-memory layers read and write its
@@ -103,6 +134,6 @@ val stored_words : t -> int
     half stores report [1] — the containing word). *)
 
 val result : t -> result
-(** Snapshot of the core's counters, output and power report, assembled
-    exactly as the sequential runners assemble theirs.  Also publishes
-    the D-cache miss rate into the core's trace, as the runners do. *)
+(** Snapshot of the core's counters, output and power report.  Also
+    publishes the D-cache miss rate into the core's trace, as a recording
+    run must before replay. *)

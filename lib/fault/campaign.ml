@@ -79,7 +79,7 @@ let run ?(trials = 20) ?(parity = false) ?max_steps
     let result = Sim_error.protect ~where:"fault.campaign" run_trial in
     (result, trial_stats (), icache_detected)
   in
-  let outcomes = Pf_harness.Pool.map ?jobs one_trial (Array.to_list trngs) in
+  let outcomes = Pf_util.Pool.map ?jobs one_trial (Array.to_list trngs) in
   let flips = ref 0 and corrupted = ref 0 and detectable = ref 0 in
   let clean = ref 0 and detected = ref 0 and silent = ref 0 in
   let divergent = ref 0 and crashed = ref 0 in

@@ -53,7 +53,7 @@ val run :
     trial draws its generator with {!Pf_util.Rng.split} from a parent
     seeded with [seed], so the whole campaign replays exactly; the splits
     happen up front in trial order, which keeps the report independent of
-    [jobs] (default {!Pf_harness.Pool.default_jobs}) when trials run on a
+    [jobs] (default {!Pf_util.Pool.default_jobs}) when trials run on a
     pool of worker domains.  Runaway
     corrupted programs are cut off by a step budget derived from the
     baseline (override with [max_steps]) and surface as [Crashed] with a

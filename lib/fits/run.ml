@@ -59,23 +59,55 @@ let predecode (tr : Translate.t) =
       | Mapping.M_undef why -> Px.undef ~isize:2 ~pc ~why)
     tr.Translate.insns
 
-type engine = Pf_cpu.Arm_run.engine = Reference | Predecoded | Compiled
+type engine = Pf_cpu.Arm_run.engine = Reference | Compiled
 
 let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
 let where = "fits.run"
 
-let outside_fault pc =
-  Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-    "FITS fetch outside code at 0x%x" pc
+let stepper ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
+    ?max_steps ?deadline ?trace (tr : Translate.t) =
+  let insns = tr.Translate.insns in
+  Pf_cpu.Step.create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
+    ?max_steps ?deadline ?trace
+    ~src:
+      ( Array.map (fun fi -> fi.Translate.first) insns,
+        Array.map (fun fi -> fi.Translate.group_len = 1) insns )
+    ~isize:2 ~code_base:tr.Translate.code_base ~words:tr.Translate.words
+    ~entry:tr.Translate.entry ~uops:(predecode tr)
+    (Pf_arm.Exec.create tr.Translate.image)
 
-let budget_fault max_steps =
-  Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where
-    "FITS step budget exhausted (%d)" max_steps
+(* A finished run's report, read off its stack and source counts; also
+   publishes the D-cache miss rate into the recording, which replay
+   needs. *)
+let report ?trace ~steps ~src ~one ~pipe ~cache ~dcache ~account st =
+  (match trace with
+  | Some t ->
+      Pf_cpu.Trace.set_dcache_rate t
+        (Pf_cache.Icache.miss_rate_per_million dcache)
+  | None -> ());
+  let cycles = P.cycles pipe in
+  {
+    fits_instructions = steps;
+    arm_instructions = src;
+    dyn_one_to_one_pct =
+      (if src = 0 then 0.0 else 100.0 *. float_of_int one /. float_of_int src);
+    cycles;
+    ipc = (if cycles = 0 then 0.0 else float_of_int src /. float_of_int cycles);
+    fetch_accesses = P.fetch_accesses pipe;
+    output = Pf_arm.Exec.output st;
+    cache_accesses = Pf_cache.Icache.stats_accesses cache;
+    cache_misses = Pf_cache.Icache.stats_misses cache;
+    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million cache;
+    dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache;
+    power = Pf_power.Account.report account;
+  }
 
-let run ?(engine = Predecoded) ?cache ?(cache_cfg = default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(classify = false)
-    ?(max_steps = 500_000_000) ?deadline ?on_step ?trace (tr : Translate.t) =
+(* The reference oracle: dispatch on [Mapping.micro] through
+   [Pf_arm.Exec.execute] every step, with its own stack and metadata,
+   sharing nothing with [Pf_cpu.Step]. *)
+let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+    ~max_steps ?deadline ?on_step ?trace (tr : Translate.t) =
   let cache =
     match cache with
     | Some c -> c
@@ -98,418 +130,89 @@ let run ?(engine = Predecoded) ?cache ?(cache_cfg = default_cache_cfg)
   let steps = ref 0 in
   let src_retired = ref 0 in
   let src_one = ref 0 in
-  let no_hook = match on_step with None -> true | Some _ -> false in
-  (match engine with
-  | Compiled when no_hook -> begin
-      (* Block-compiled driver: the FITS counterpart of
-         [Arm_run.run_compiled] — 16-bit slots, the local step counter as
-         the budget, per-block source-instruction bookkeeping summed from
-         [Translate.first]/[group_len] once at first dispatch, and the
-         FITS-specific fault messages in boundary mode.  Watchdog and
-         deadline behaviour is made exact the same way: when a budget
-         exhaustion or a deadline poll would land inside the next block
-         (or the block is a legality fallback), one instruction runs with
-         the exact per-instruction body. *)
-      let uops = predecode tr in
-      let cx =
-        Pf_cpu.Cexec.create ~isize:2 ~code_base (Pf_arm.Bexec.create uops)
-      in
-      let dmask = Pf_arm.Exec.deadline_mask in
-      let sh_dp = Pf_arm.Bexec.sh_dp in
-      let seq_tog = P.seq_toggle_prefix ~words in
-      let wbase = code_base lsr 2 in
-      (* per-block source-retirement sums, filled at first dispatch *)
-      let src_tab = Array.make ninsns (-1) in
-      let one_tab = Array.make ninsns 0 in
-      let fill_src idx len =
-        let a = ref 0 and b = ref 0 in
-        for i = idx to idx + len - 1 do
-          let fi = insns.(i) in
-          if fi.Translate.first then begin
-            incr a;
-            if fi.Translate.group_len = 1 then incr b
-          end
-        done;
-        src_tab.(idx) <- !a;
-        one_tab.(idx) <- !b
-      in
-      let step_boundary idx =
-        (* one exact per-instruction step: same checks, same faults, same
-           step counts as the predecoded loop bodies *)
-        if !steps >= max_steps then budget_fault max_steps;
-        if !steps land dmask = 0 then Pf_util.Deadline.check ~where deadline;
-        let u = uops.(idx) in
-        if u.Px.code = Px.code_undef then
+  let metas = Array.map (fun fi -> meta_of_micro fi.Translate.micro) insns in
+  while not st.Pf_arm.Exec.halted do
+    if !pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
+    else begin
+      if !steps >= max_steps then
+        Pf_util.Sim_error.raisef Pf_util.Sim_error.Watchdog_timeout ~where
+          "FITS step budget exhausted (%d)" max_steps;
+      if !steps land Pf_arm.Exec.deadline_mask = 0 then
+        Pf_util.Deadline.check ~where deadline;
+      let idx = (!pc - code_base) asr 1 in
+      if idx < 0 || idx >= ninsns then
+        Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
+          "FITS fetch outside code at 0x%x" !pc;
+      let fi = insns.(idx) in
+      (match fi.Translate.micro with
+      | Mapping.M_exec insn -> Pf_arm.Exec.execute ~isize:2 st ~pc:!pc insn o
+      | Mapping.M_dp32 { op; s; rd; rn; value; cond } ->
+          Pf_arm.Exec.execute_dp_value ~isize:2 st ~pc:!pc ~cond ~op ~s
+            ~rd ~rn ~value o
+      | Mapping.M_jalr rm ->
+          st.Pf_arm.Exec.steps <- st.Pf_arm.Exec.steps + 1;
+          st.Pf_arm.Exec.regs.(A.lr) <- !pc + 2;
+          o.Pf_arm.Exec.executed <- true;
+          o.Pf_arm.Exec.branch_taken <- true;
+          o.Pf_arm.Exec.next_pc <- st.Pf_arm.Exec.regs.(rm) land lnot 1;
+          o.Pf_arm.Exec.mem_addr <- -1;
+          o.Pf_arm.Exec.mem_words <- 0
+      | Mapping.M_undef why ->
           Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-            "corrupted decoder entry at 0x%x: %s" !pc u.Px.why;
-        Px.exec st o u;
-        u
-      in
-      let finish_boundary idx =
-        let fi = insns.(idx) in
-        if fi.Translate.first then begin
-          incr src_retired;
-          if fi.Translate.group_len = 1 then incr src_one
-        end;
-        incr steps;
-        pc := o.Pf_arm.Exec.next_pc
-      in
-      (* run-scan cursors, hoisted so block dispatch allocates nothing *)
-      let i = ref 0 and j = ref 0 in
-      match trace with
-      | None ->
-          while not st.Pf_arm.Exec.halted do
-            if !pc = Pf_arm.Exec.halt_sentinel then
-              st.Pf_arm.Exec.halted <- true
-            else begin
-              let idx = (!pc - code_base) asr 1 in
-              if idx < 0 || idx >= ninsns then outside_fault !pc;
-              let cbk = Pf_cpu.Cexec.block_at cx idx in
-              let bb = cbk.Pf_cpu.Cexec.bb in
-              let len = bb.Pf_arm.Bexec.len in
-              let s0 = !steps in
-              if
-                bb.Pf_arm.Bexec.fallback
-                || s0 + len > max_steps
-                || (s0 + dmask) land lnot dmask < s0 + len
-              then begin
-                let u = step_boundary idx in
-                P.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:!pc
-                  ~size:2
-                  ~cls:(Pf_cpu.Trace.cls_of_code u.Px.cls)
-                  ~reads:u.Px.reads ~writes:u.Px.writes
-                  ~taken:o.Pf_arm.Exec.branch_taken
-                  ~mem_words:o.Pf_arm.Exec.mem_words;
-                finish_boundary idx
-              end
-              else begin
-                bb.Pf_arm.Bexec.execs <- bb.Pf_arm.Bexec.execs + 1;
-                if src_tab.(idx) < 0 then fill_src idx len;
-                let xu = bb.Pf_arm.Bexec.xuops in
-                let shapes = bb.Pf_arm.Bexec.shapes in
-                let pairs = cbk.Pf_cpu.Cexec.pairs in
-                (* run-scan, as in [Arm_run.run_compiled]: maximal ALU runs
-                   execute first (dead compares do nothing at all — the
-                   local step counter is authoritative here), then issue as
-                   one span from the precomputed pairs *)
-                i := 0;
-                while !i < len do
-                  let sh = Array.unsafe_get shapes !i in
-                  if sh <= sh_dp then begin
-                    j := !i + 1;
-                    while !j < len && Array.unsafe_get shapes !j <= sh_dp do
-                      incr j
-                    done;
-                    for k = !i to !j - 1 do
-                      if Array.unsafe_get shapes k = sh_dp then
-                        Px.exec_dp_nr st o (Array.unsafe_get xu k)
-                    done;
-                    P.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                      ~n:(!j - !i) ~size:2 ~seq_tog ~wbase;
-                    i := !j
-                  end
-                  else begin
-                    let u = Array.unsafe_get xu !i in
-                    Px.exec st o u;
-                    P.issue pipe ~backward:u.Px.backward
-                      ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1)
-                      ~addr:(!pc + (!i lsl 1)) ~size:2
-                      ~cls:(Pf_cpu.Trace.cls_of_code u.Px.cls)
-                      ~reads:u.Px.reads ~writes:u.Px.writes
-                      ~taken:o.Pf_arm.Exec.branch_taken
-                      ~mem_words:o.Pf_arm.Exec.mem_words;
-                    incr i
-                  end
-                done;
-                steps := s0 + len;
-                src_retired := !src_retired + src_tab.(idx);
-                src_one := !src_one + one_tab.(idx);
-                pc :=
-                  (if bb.Pf_arm.Bexec.has_term then o.Pf_arm.Exec.next_pc
-                   else !pc + (len lsl 1))
-              end
-            end
-          done
+            "corrupted decoder entry at 0x%x: %s" !pc why);
+      let m = metas.(idx) in
+      let taken = o.Pf_arm.Exec.branch_taken in
+      let mem_addr = o.Pf_arm.Exec.mem_addr in
+      let mem_words = o.Pf_arm.Exec.mem_words in
+      P.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1) ~addr:!pc
+        ~size:2 ~cls:m.cls ~reads:m.reads ~writes:m.writes ~taken
+        ~mem_words;
+      (match trace with
       | Some t ->
-          while not st.Pf_arm.Exec.halted do
-            if !pc = Pf_arm.Exec.halt_sentinel then
-              st.Pf_arm.Exec.halted <- true
-            else begin
-              let idx = (!pc - code_base) asr 1 in
-              if idx < 0 || idx >= ninsns then outside_fault !pc;
-              let cbk = Pf_cpu.Cexec.block_at cx idx in
-              let bb = cbk.Pf_cpu.Cexec.bb in
-              let len = bb.Pf_arm.Bexec.len in
-              let s0 = !steps in
-              if
-                bb.Pf_arm.Bexec.fallback
-                || s0 + len > max_steps
-                || (s0 + dmask) land lnot dmask < s0 + len
-              then begin
-                let u = step_boundary idx in
-                let cls = Pf_cpu.Trace.cls_of_code u.Px.cls in
-                let taken = o.Pf_arm.Exec.branch_taken in
-                let mem_words = o.Pf_arm.Exec.mem_words in
-                P.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:!pc
-                  ~size:2 ~cls ~reads:u.Px.reads ~writes:u.Px.writes ~taken
-                  ~mem_words;
-                Pf_cpu.Trace.record t ~addr:!pc ~cls ~reads:u.Px.reads
-                  ~writes:u.Px.writes ~taken ~backward:u.Px.backward
-                  ~dmisses:(P.last_dcache_misses pipe) ~mem_words;
-                finish_boundary idx
-              end
-              else begin
-                bb.Pf_arm.Bexec.execs <- bb.Pf_arm.Bexec.execs + 1;
-                if src_tab.(idx) < 0 then fill_src idx len;
-                let xu = bb.Pf_arm.Bexec.xuops in
-                let shapes = bb.Pf_arm.Bexec.shapes in
-                let metas = cbk.Pf_cpu.Cexec.metas in
-                let pairs = cbk.Pf_cpu.Cexec.pairs in
-                (* same run-scan as the untraced loop; ALU spans also
-                   bulk-record their precomputed (addr, meta) pairs *)
-                i := 0;
-                while !i < len do
-                  let sh = Array.unsafe_get shapes !i in
-                  if sh <= sh_dp then begin
-                    j := !i + 1;
-                    while !j < len && Array.unsafe_get shapes !j <= sh_dp do
-                      incr j
-                    done;
-                    for k = !i to !j - 1 do
-                      if Array.unsafe_get shapes k = sh_dp then
-                        Px.exec_dp_nr st o (Array.unsafe_get xu k)
-                    done;
-                    P.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                      ~n:(!j - !i) ~size:2 ~seq_tog ~wbase;
-                    let tid =
-                      if cbk.Pf_cpu.Cexec.tid >= 0 then cbk.Pf_cpu.Cexec.tid
-                      else begin
-                        let id = Pf_cpu.Trace.register_pairs t pairs in
-                        cbk.Pf_cpu.Cexec.tid <- id;
-                        id
-                      end
-                    in
-                    Pf_cpu.Trace.record_span t ~tid ~pos:(2 * !i)
-                      ~n:(!j - !i);
-                    i := !j
-                  end
-                  else begin
-                    let u = Array.unsafe_get xu !i in
-                    let m = Array.unsafe_get metas !i in
-                    let a = !pc + (!i lsl 1) in
-                    Px.exec st o u;
-                    let taken = o.Pf_arm.Exec.branch_taken in
-                    let mem_words = o.Pf_arm.Exec.mem_words in
-                    P.issue pipe ~backward:u.Px.backward
-                      ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:a
-                      ~size:2
-                      ~cls:(Pf_cpu.Trace.cls_of_code u.Px.cls)
-                      ~reads:u.Px.reads ~writes:u.Px.writes ~taken ~mem_words;
-                    Pf_cpu.Trace.record_packed t ~addr:a
-                      ~meta:
-                        (m
-                        lor Pf_cpu.Trace.dynamic_meta ~taken ~mem_words
-                              ~dmisses:(P.last_dcache_misses pipe));
-                    incr i
-                  end
-                done;
-                steps := s0 + len;
-                src_retired := !src_retired + src_tab.(idx);
-                src_one := !src_one + one_tab.(idx);
-                pc :=
-                  (if bb.Pf_arm.Bexec.has_term then o.Pf_arm.Exec.next_pc
-                   else !pc + (len lsl 1))
-              end
-            end
-          done
+          Pf_cpu.Trace.record t ~addr:!pc ~cls:m.cls ~reads:m.reads
+            ~writes:m.writes ~taken ~backward:m.backward
+            ~dmisses:(P.last_dcache_misses pipe) ~mem_words
+      | None -> ());
+      if fi.Translate.first then begin
+        incr src_retired;
+        if fi.Translate.group_len = 1 then incr src_one
+      end;
+      incr steps;
+      (match on_step with None -> () | Some f -> f st ~steps:!steps);
+      pc := o.Pf_arm.Exec.next_pc
     end
-  | Predecoded | Compiled -> begin
-      let uops = predecode tr in
-      (* the [trace] / [on_step] option dispatch is hoisted out of the
-         loop: the common paths (plain run, recording run) execute
-         specialized bodies with no per-step option matching *)
-      match (trace, on_step) with
-      | None, None ->
-          while not st.Pf_arm.Exec.halted do
-            if !pc = Pf_arm.Exec.halt_sentinel then
-              st.Pf_arm.Exec.halted <- true
-            else begin
-              if !steps >= max_steps then budget_fault max_steps;
-              if !steps land Pf_arm.Exec.deadline_mask = 0 then
-                Pf_util.Deadline.check ~where deadline;
-              let idx = (!pc - code_base) asr 1 in
-              if idx < 0 || idx >= ninsns then outside_fault !pc;
-              let u = uops.(idx) in
-              if u.Px.code = Px.code_undef then
-                Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault
-                  ~where "corrupted decoder entry at 0x%x: %s" !pc u.Px.why;
-              Px.exec st o u;
-              P.issue pipe ~backward:u.Px.backward
-                ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:!pc
-                ~size:2
-                ~cls:(Pf_cpu.Trace.cls_of_code u.Px.cls)
-                ~reads:u.Px.reads ~writes:u.Px.writes
-                ~taken:o.Pf_arm.Exec.branch_taken
-                ~mem_words:o.Pf_arm.Exec.mem_words;
-              let fi = insns.(idx) in
-              if fi.Translate.first then begin
-                incr src_retired;
-                if fi.Translate.group_len = 1 then incr src_one
-              end;
-              incr steps;
-              pc := o.Pf_arm.Exec.next_pc
-            end
-          done
-      | Some t, None ->
-          while not st.Pf_arm.Exec.halted do
-            if !pc = Pf_arm.Exec.halt_sentinel then
-              st.Pf_arm.Exec.halted <- true
-            else begin
-              if !steps >= max_steps then budget_fault max_steps;
-              if !steps land Pf_arm.Exec.deadline_mask = 0 then
-                Pf_util.Deadline.check ~where deadline;
-              let idx = (!pc - code_base) asr 1 in
-              if idx < 0 || idx >= ninsns then outside_fault !pc;
-              let u = uops.(idx) in
-              if u.Px.code = Px.code_undef then
-                Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault
-                  ~where "corrupted decoder entry at 0x%x: %s" !pc u.Px.why;
-              Px.exec st o u;
-              let cls = Pf_cpu.Trace.cls_of_code u.Px.cls in
-              let taken = o.Pf_arm.Exec.branch_taken in
-              let mem_words = o.Pf_arm.Exec.mem_words in
-              P.issue pipe ~backward:u.Px.backward
-                ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:!pc
-                ~size:2 ~cls ~reads:u.Px.reads ~writes:u.Px.writes ~taken
-                ~mem_words;
-              Pf_cpu.Trace.record t ~addr:!pc ~cls ~reads:u.Px.reads
-                ~writes:u.Px.writes ~taken ~backward:u.Px.backward
-                ~dmisses:(P.last_dcache_misses pipe) ~mem_words;
-              let fi = insns.(idx) in
-              if fi.Translate.first then begin
-                incr src_retired;
-                if fi.Translate.group_len = 1 then incr src_one
-              end;
-              incr steps;
-              pc := o.Pf_arm.Exec.next_pc
-            end
-          done
-      | _ ->
-          (* rare paths (fault-injection [on_step] hook): per-step option
-             matching is fine here *)
-          while not st.Pf_arm.Exec.halted do
-            if !pc = Pf_arm.Exec.halt_sentinel then
-              st.Pf_arm.Exec.halted <- true
-            else begin
-              if !steps >= max_steps then budget_fault max_steps;
-              if !steps land Pf_arm.Exec.deadline_mask = 0 then
-                Pf_util.Deadline.check ~where deadline;
-              let idx = (!pc - code_base) asr 1 in
-              if idx < 0 || idx >= ninsns then outside_fault !pc;
-              let u = uops.(idx) in
-              if u.Px.code = Px.code_undef then
-                Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault
-                  ~where "corrupted decoder entry at 0x%x: %s" !pc u.Px.why;
-              Px.exec st o u;
-              let cls = Pf_cpu.Trace.cls_of_code u.Px.cls in
-              let taken = o.Pf_arm.Exec.branch_taken in
-              let mem_words = o.Pf_arm.Exec.mem_words in
-              P.issue pipe ~backward:u.Px.backward
-                ~mem_addr:o.Pf_arm.Exec.mem_addr ~dmisses:(-1) ~addr:!pc
-                ~size:2 ~cls ~reads:u.Px.reads ~writes:u.Px.writes ~taken
-                ~mem_words;
-              (match trace with
-              | Some t ->
-                  Pf_cpu.Trace.record t ~addr:!pc ~cls ~reads:u.Px.reads
-                    ~writes:u.Px.writes ~taken ~backward:u.Px.backward
-                    ~dmisses:(P.last_dcache_misses pipe) ~mem_words
-              | None -> ());
-              let fi = insns.(idx) in
-              if fi.Translate.first then begin
-                incr src_retired;
-                if fi.Translate.group_len = 1 then incr src_one
-              end;
-              incr steps;
-              (match on_step with None -> () | Some f -> f st ~steps:!steps);
-              pc := o.Pf_arm.Exec.next_pc
-            end
-          done
-    end
+  done;
+  report ?trace ~steps:!steps ~src:!src_retired ~one:!src_one ~pipe ~cache
+    ~dcache ~account st
+
+let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
+    ?pipeline_cfg ?power_params ?(classify = false)
+    ?(max_steps = 500_000_000) ?deadline ?on_step ?trace (tr : Translate.t) =
+  match engine with
   | Reference ->
-      let metas = Array.map (fun fi -> meta_of_micro fi.Translate.micro) insns in
-      while not st.Pf_arm.Exec.halted do
-        if !pc = Pf_arm.Exec.halt_sentinel then st.Pf_arm.Exec.halted <- true
-        else begin
-          if !steps >= max_steps then budget_fault max_steps;
-          if !steps land Pf_arm.Exec.deadline_mask = 0 then
-            Pf_util.Deadline.check ~where deadline;
-          let idx = (!pc - code_base) asr 1 in
-          if idx < 0 || idx >= ninsns then outside_fault !pc;
-          let fi = insns.(idx) in
-          (match fi.Translate.micro with
-          | Mapping.M_exec insn -> Pf_arm.Exec.execute ~isize:2 st ~pc:!pc insn o
-          | Mapping.M_dp32 { op; s; rd; rn; value; cond } ->
-              Pf_arm.Exec.execute_dp_value ~isize:2 st ~pc:!pc ~cond ~op ~s
-                ~rd ~rn ~value o
-          | Mapping.M_jalr rm ->
-              st.Pf_arm.Exec.steps <- st.Pf_arm.Exec.steps + 1;
-              st.Pf_arm.Exec.regs.(A.lr) <- !pc + 2;
-              o.Pf_arm.Exec.executed <- true;
-              o.Pf_arm.Exec.branch_taken <- true;
-              o.Pf_arm.Exec.next_pc <- st.Pf_arm.Exec.regs.(rm) land lnot 1;
-              o.Pf_arm.Exec.mem_addr <- -1;
-              o.Pf_arm.Exec.mem_words <- 0
-          | Mapping.M_undef why ->
-              Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
-                "corrupted decoder entry at 0x%x: %s" !pc why);
-          let m = metas.(idx) in
-          let taken = o.Pf_arm.Exec.branch_taken in
-          let mem_addr = o.Pf_arm.Exec.mem_addr in
-          let mem_words = o.Pf_arm.Exec.mem_words in
-          P.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1) ~addr:!pc
-            ~size:2 ~cls:m.cls ~reads:m.reads ~writes:m.writes ~taken
-            ~mem_words;
-          (match trace with
-          | Some t ->
-              Pf_cpu.Trace.record t ~addr:!pc ~cls:m.cls ~reads:m.reads
-                ~writes:m.writes ~taken ~backward:m.backward
-                ~dmisses:(P.last_dcache_misses pipe) ~mem_words
-          | None -> ());
-          if fi.Translate.first then begin
-            incr src_retired;
-            if fi.Translate.group_len = 1 then incr src_one
-          end;
-          incr steps;
-          (match on_step with None -> () | Some f -> f st ~steps:!steps);
-          pc := o.Pf_arm.Exec.next_pc
-        end
-      done);
-  (match trace with
-  | Some t ->
-      Pf_cpu.Trace.set_dcache_rate t
-        (Pf_cache.Icache.miss_rate_per_million dcache)
-  | None -> ());
-  let cycles = P.cycles pipe in
-  {
-    fits_instructions = !steps;
-    arm_instructions = !src_retired;
-    dyn_one_to_one_pct =
-      (if !src_retired = 0 then 0.0
-       else 100.0 *. float_of_int !src_one /. float_of_int !src_retired);
-    cycles;
-    ipc =
-      (if cycles = 0 then 0.0
-       else float_of_int !src_retired /. float_of_int cycles);
-    fetch_accesses = P.fetch_accesses pipe;
-    output = Pf_arm.Exec.output st;
-    cache_accesses = Pf_cache.Icache.stats_accesses cache;
-    cache_misses = Pf_cache.Icache.stats_misses cache;
-    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million cache;
-    dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache;
-    power = Pf_power.Account.report account;
-  }
+      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+        ~max_steps ?deadline ?on_step ?trace tr
+  | Compiled ->
+      let s =
+        stepper ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+          ~max_steps ?deadline ?trace tr
+      in
+      (match on_step with
+      | None -> Pf_cpu.Cexec.run s
+      | Some f ->
+          (* the register-injection hook observes every retired
+             instruction, so it runs on the per-instruction body *)
+          let st = Pf_cpu.Step.state s in
+          while not (Pf_cpu.Step.halted s) do
+            let before = Pf_cpu.Step.steps s in
+            Pf_cpu.Step.step s;
+            let steps = Pf_cpu.Step.steps s in
+            if steps > before then f st ~steps
+          done);
+      report ?trace ~steps:(Pf_cpu.Step.steps s) ~src:s.Pf_cpu.Step.src_retired
+        ~one:s.Pf_cpu.Step.src_one ~pipe:s.Pf_cpu.Step.pipe
+        ~cache:s.Pf_cpu.Step.cache ~dcache:s.Pf_cpu.Step.dcache
+        ~account:s.Pf_cpu.Step.account (Pf_cpu.Step.state s)
 
 let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~like
     (tr : Translate.t) trace =

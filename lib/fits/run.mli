@@ -26,22 +26,32 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-type engine = Pf_cpu.Arm_run.engine = Reference | Predecoded | Compiled
-(** Interpreter choice, shared with the ARM runner: [Predecoded] (default)
-    executes the stream via {!Pf_arm.Pexec} micro-ops with no per-step
-    allocation; [Compiled] dispatches per basic block ({!Pf_arm.Bexec})
-    with dead-flag elision and exact boundary-mode watchdog/deadline
-    semantics (when [on_step] is supplied the per-instruction path is
-    used, since the hook observes every step); [Reference] dispatches
-    {!Mapping.micro} through {!Pf_arm.Exec.execute} each step.
-    Bit-identical results across all three. *)
+type engine = Pf_cpu.Arm_run.engine = Reference | Compiled
+(** Interpreter choice, shared with the ARM runner: [Compiled] (default)
+    builds a {!stepper} and runs it through the block driver
+    {!Pf_cpu.Cexec.run} — or, when [on_step] is supplied, through
+    {!Pf_cpu.Step.step} one instruction at a time, since the hook
+    observes every step; [Reference] dispatches {!Mapping.micro} through
+    {!Pf_arm.Exec.execute} each step, sharing no code with
+    {!Pf_cpu.Step}.  Bit-identical results across both. *)
 
-val predecode : Translate.t -> Pf_arm.Pexec.uop array
-(** Predecode the translated 16-bit stream: one micro-op per slot
-    (indexed like [Translate.insns]), with the same pipeline metadata the
-    runners attach.  Exported for the multicore per-core stepper
-    ({!Pf_cpu.Step}), which drives FITS cores through the identical
-    micro-op semantics without owning a run loop of its own. *)
+val stepper :
+  ?cache:Pf_cache.Icache.t ->
+  ?cache_cfg:Pf_cache.Icache.config ->
+  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
+  ?power_params:Pf_power.Account.Params.t ->
+  ?classify:bool ->
+  ?max_steps:int ->
+  ?deadline:Pf_util.Deadline.t ->
+  ?trace:Pf_cpu.Trace.t ->
+  Translate.t ->
+  Pf_cpu.Step.t
+(** The one place a FITS {!Pf_cpu.Step.t} is built: the translated
+    16-bit stream predecoded into one micro-op per slot, with the
+    first-of-group and singleton-group flags that drive the source
+    instruction counts.  {!run} and the multicore FITS cores
+    ({!Pf_mc.Machine.fits_core}) both start here.  Arguments are
+    {!Pf_cpu.Step.create}'s. *)
 
 val run :
   ?engine:engine ->
@@ -60,7 +70,9 @@ val run :
     this to schedule tag flips); its geometry must match [cache_cfg], which
     still drives the power model.  [on_step] is called after every retired
     16-bit instruction with the architectural state — the register-file
-    injection hook.  Both default to off and cost nothing when unused.
+    injection hook; with it the compiled engine runs one
+    {!Pf_cpu.Step.step} at a time instead of a block at a time.  Both
+    default to off and cost nothing when unused.
     [deadline] is the wall-clock watchdog, polled in the execute loop
     every [Pf_arm.Exec.deadline_mask + 1] steps.  [trace] (created with
     [isize:2]) records the retired stream for {!replay}. *)

@@ -72,15 +72,10 @@ let of_fits (r : Pf_fits.Run.result) =
    tests) without executing the program an extra time.  The ARM side
    therefore runs first and the reference output is the ARM run's output;
    cross-ISA consistency is still asserted against the FITS runs, and
-   cross-ENGINE architectural identity is pinned by the three-way
+   cross-ENGINE architectural identity is pinned by the engine
    differential tests. *)
-let engine_fits : Pf_cpu.Arm_run.engine -> Pf_fits.Run.engine = function
-  | Pf_cpu.Arm_run.Reference -> Pf_fits.Run.Reference
-  | Pf_cpu.Arm_run.Predecoded -> Pf_fits.Run.Predecoded
-  | Pf_cpu.Arm_run.Compiled -> Pf_fits.Run.Compiled
-
 let run_benchmark ?(scale = 1) ?(classify = false)
-    ?(engine = Pf_cpu.Arm_run.Predecoded) ?max_steps ?deadline
+    ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps ?deadline
     (b : Pf_mibench.Registry.benchmark) =
   let check () = Pf_util.Deadline.check ~where:"harness.experiment" deadline in
   let p = b.Pf_mibench.Registry.program ~scale in
@@ -109,7 +104,7 @@ let run_benchmark ?(scale = 1) ?(classify = false)
   let thumb = Pf_thumb.Translate.estimate image in
   let fits_trace = Pf_cpu.Trace.create ~isize:2 () in
   let fits16_r =
-    Pf_fits.Run.run ~engine:(engine_fits engine) ~cache_cfg:cache_16k
+    Pf_fits.Run.run ~engine ~cache_cfg:cache_16k
       ~classify ?max_steps ?deadline ~trace:fits_trace tr
   in
   let fits8_r =
@@ -192,10 +187,10 @@ let run_isolated ?(scale = 1) ?max_steps
 let run_all ?scale ?max_steps ?wall_clock_s ?classify ?engine
     ?(benchmarks = Pf_mibench.Registry.all) ?jobs () =
   let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+    match jobs with Some j -> max 1 j | None -> Pf_util.Pool.default_jobs ()
   in
   let rows =
-    Pool.map ~jobs
+    Pf_util.Pool.map ~jobs
       (fun b ->
         run_isolated ?scale ?max_steps ?wall_clock_s ?classify ?engine b)
       benchmarks

@@ -64,9 +64,9 @@ val run_benchmark :
     bit-identical to direct simulation.  The ARM16 recording doubles as
     the profiling run: synthesis consumes {!Pf_cpu.Trace.exec_counts} of
     its trace, which is bit-identical to a dedicated counting execution.
-    [engine] (default [Predecoded]) selects the execution engine for both
+    [engine] (default [Compiled]) selects the execution engine for both
     recording runs; every engine retires the identical architectural
-    stream (three-way differential tests), so results do not depend on
+    stream (engine differential tests), so results do not depend on
     it.  [max_steps] is a per-run step watchdog and [deadline] a
     wall-clock one, polled inside the execute loops and at phase
     boundaries; exhaustion of either raises a [Watchdog_timeout]
@@ -78,8 +78,8 @@ val run_benchmark :
     {!run_all} isolates every benchmark behind {!Pf_util.Sim_error.protect}
     and a wall-clock/step watchdog, records per-benchmark outcomes, and
     retries a watchdog trip once at reduced scale before giving up on that
-    row.  Rows run on a {!Pool} of worker domains (the watchdog is a
-    monotonic deadline precisely so it works off the main domain); row
+    row.  Rows run on a {!Pf_util.Pool} of worker domains (the watchdog is
+    a monotonic deadline precisely so it works off the main domain); row
     order, and everything else a sweep reports, is independent of [jobs].
     Figures are then drawn from whatever survived. *)
 
@@ -126,8 +126,9 @@ val run_all :
 (** All 21 benchmarks (Figures 3-5 use these), each isolated.
     [benchmarks] narrows the sweep (tests use this to force failures
     without paying for the full suite).  [jobs] (default
-    {!Pool.default_jobs}) sets the worker-domain count; [jobs:1] is the
-    sequential sweep, and results are identical for every value. *)
+    {!Pf_util.Pool.default_jobs}) sets the worker-domain count; [jobs:1]
+    is the sequential sweep, and results are identical for every
+    value. *)
 
 val completed_results : sweep -> bench_result list
 (** The surviving rows, in sweep order. *)

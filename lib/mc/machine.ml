@@ -136,19 +136,10 @@ let arm_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
 let fits_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
     ?trace image =
   (* per-core application-specific synthesis: profile the ARM image,
-     synthesize its FITS spec, translate, predecode — the sequential
-     FITS flow, one decoder configuration per core *)
+     synthesize its FITS spec, translate — the sequential FITS flow, one
+     decoder configuration per core *)
   let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  let uops = Pf_fits.Run.predecode tr in
-  let insns = tr.Pf_fits.Translate.insns in
-  let first = Array.map (fun fi -> fi.Pf_fits.Translate.first) insns in
-  let single =
-    Array.map (fun fi -> fi.Pf_fits.Translate.group_len = 1) insns
-  in
-  Pf_cpu.Step.create ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace ~src:(first, single) ~isize:2
-    ~code_base:tr.Pf_fits.Translate.code_base ~words:tr.Pf_fits.Translate.words
-    ~entry:tr.Pf_fits.Translate.entry ~uops
-    (Pf_arm.Exec.create tr.Pf_fits.Translate.image)
+  Pf_fits.Run.stepper ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
+    ?deadline ?trace tr

@@ -87,7 +87,7 @@ let run ?(weighting = Weighting.Dyn_count)
   let jobs =
     match jobs with
     | Some j -> max 1 j
-    | None -> Pf_harness.Pool.default_jobs ()
+    | None -> Pf_util.Pool.default_jobs ()
   in
   let ps = Suite.prepare ?scale ~jobs benches in
   let shared = Suite.synthesize_shared ~weighting ~dict_budget ps in
@@ -99,13 +99,13 @@ let run ?(weighting = Weighting.Dyn_count)
   let loo_specs =
     if not loo then List.map (fun _ -> None) ps
     else
-      Pf_harness.Pool.map ~jobs
+      Pf_util.Pool.map ~jobs
         (fun p ->
           Some (loo_spec ~weighting ~dict_budget ps (Suite.name p)))
         ps
   in
   let rows =
-    Pf_harness.Pool.map ~jobs
+    Pf_util.Pool.map ~jobs
       (fun (p, lspec) ->
         let bench = Suite.name p in
         let outcome =

@@ -21,7 +21,7 @@ let prepare_one ?(scale = 1) (b : R.benchmark) =
   { bench = b; image; dyn_counts; profile; reference_output }
 
 let prepare ?scale ?jobs benches =
-  Pf_harness.Pool.map ?jobs (fun b -> prepare_one ?scale b) benches
+  Pf_util.Pool.map ?jobs (fun b -> prepare_one ?scale b) benches
 
 let multiplier weighting p =
   Weighting.multiplier weighting ~name:(name p)

@@ -8,9 +8,9 @@
     them.  Results always come back in input order — parallelism must
     never change what a sweep reports, only how fast it reports it.
 
-    This lives in [pf_util] so layers below the harness (notably
-    [pf_dse]) can fan out too; [Pf_harness.Pool] re-exports it
-    unchanged. *)
+    This lives in [pf_util] so every layer, from the design-space
+    explorer in [pf_dse] up to the harness, the CLI and the bench, fans
+    out through the same pool. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — one worker per available

@@ -41,12 +41,18 @@ let check_budget what delta =
                     (budget %d): a per-step allocation crept back in"
       what delta budget
 
-let test_arm_run_alloc () =
+(* The per-instruction body on its own: a bare [Step.step] loop, the
+   path every multicore core runs. *)
+let test_arm_step_alloc () =
   let image = loop_image () in
-  (* warm up: one full run outside the measurement *)
-  ignore (Pf_cpu.Arm_run.run image);
-  let delta = minor_delta (fun () -> ignore (Pf_cpu.Arm_run.run image)) in
-  check_budget "Arm_run.run (predecoded, full stack)" delta
+  let run () =
+    let s = Pf_cpu.Step.of_image image in
+    while not (Pf_cpu.Step.halted s) do
+      Pf_cpu.Step.step s
+    done
+  in
+  run ();
+  check_budget "Step.step loop (ARM core)" (minor_delta run)
 
 let test_pexec_run_alloc () =
   let image = loop_image () in
@@ -56,11 +62,11 @@ let test_pexec_run_alloc () =
   let delta = minor_delta (fun () -> Pf_arm.Pexec.run p st) in
   check_budget "Pexec.run (bare interpreter)" delta
 
-(* The compiled engine discovers and compiles blocks at run start —
-   O(static) allocation, same bucket as predecode — after which the
-   block-dispatch loop must be as allocation-free as the per-instruction
-   loops above.  A closure or tuple born per block execution (~34k block
-   runs here) would blow the budget. *)
+(* The compiled engine (every runner's default) discovers and compiles
+   blocks at run start — O(static) allocation, same bucket as predecode —
+   after which the block-dispatch loop must be as allocation-free as the
+   per-instruction loop above.  A closure or tuple born per block
+   execution (~34k block runs here) would blow the budget. *)
 let test_arm_compiled_alloc () =
   let image = loop_image () in
   let run () =
@@ -69,14 +75,18 @@ let test_arm_compiled_alloc () =
   run ();
   check_budget "Arm_run.run (compiled engine)" (minor_delta run)
 
-let test_fits_run_alloc () =
+(* The register-injection hook drives FITS through [Step.step] one
+   instruction at a time; with a no-op hook it must stay as
+   allocation-free as the block loop. *)
+let test_fits_step_alloc () =
   let image = loop_image () in
   let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  ignore (Pf_fits.Run.run tr);
-  let delta = minor_delta (fun () -> ignore (Pf_fits.Run.run tr)) in
-  check_budget "Fits.Run.run (predecoded, full stack)" delta
+  let run () = ignore (Pf_fits.Run.run ~on_step:(fun _ ~steps:_ -> ()) tr) in
+  run ();
+  check_budget "Fits.Run.run ~on_step (per-instruction loop)"
+    (minor_delta run)
 
 let test_fits_compiled_alloc () =
   let image = loop_image () in
@@ -155,11 +165,11 @@ let test_single_pass_sweep_alloc () =
 let tests =
   [
     Alcotest.test_case "ARM step loop is allocation-free" `Quick
-      test_arm_run_alloc;
+      test_arm_step_alloc;
     Alcotest.test_case "bare Pexec loop is allocation-free" `Quick
       test_pexec_run_alloc;
     Alcotest.test_case "FITS step loop is allocation-free" `Quick
-      test_fits_run_alloc;
+      test_fits_step_alloc;
     Alcotest.test_case "ARM compiled block loop is allocation-free" `Quick
       test_arm_compiled_alloc;
     Alcotest.test_case "FITS compiled block loop is allocation-free" `Quick

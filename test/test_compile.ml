@@ -202,6 +202,47 @@ let test_cmp_values () =
            ];
        ])
 
+(* Operands evaluate left to right, calls included.  The normalizer
+   hoists calls ahead of their statement; a call in a right operand must
+   neither run before a left operand's call nor let a left operand's
+   load (or a store's address) see its store. *)
+let test_operand_order () =
+  let p =
+    program
+      [ garray "g" W32 1; garray "h" W32 8 ]
+      [
+        func "bump" []
+          [ setidx32 "g" (i 0) (idx32 "g" (i 0) +% i 1); ret (idx32 "g" (i 0)) ];
+        func "main" []
+          [
+            print_int (call "bump" [] -% call "bump" []);
+            print_int (idx32 "g" (i 0) +% call "bump" []);
+            print_int (uge (call "bump" []) (call "bump" []));
+            setidx32 "h" (idx32 "g" (i 0)) (call "bump" []);
+            print_int (idx32 "h" (i 5));
+            print_int (idx32 "h" (i 6));
+          ];
+      ]
+  in
+  Alcotest.(check string)
+    "reference semantics" "-1\n5\n0\n6\n0\n" (Pf_kir.Eval.run p).output;
+  check_program ~name:"compiled" p
+
+(* A generated program whose right-operand call used to be hoisted ahead
+   of the left one, so the compiled image printed 2049520861. *)
+let test_generated_operand_order () =
+  let p =
+    Pf_workgen.Generate.program
+      ~model:(Pf_workgen.Calibrate.reference ())
+      ~seed:400210 ~index:1719
+  in
+  Alcotest.(check string)
+    "reference semantics" "2049571004\n"
+    (Pf_kir.Eval.run ~max_steps:50_000_000 p).output;
+  Alcotest.(check string)
+    "compiled" "2049571004\n"
+    (Pf_armgen.Compile.run ~max_steps:50_000_000 (Pf_armgen.Compile.program p))
+
 let tests =
   [
     Alcotest.test_case "print constant" `Quick test_print_constant;
@@ -215,4 +256,8 @@ let tests =
     Alcotest.test_case "shift semantics" `Quick test_shift_semantics;
     Alcotest.test_case "print char" `Quick test_print_char;
     Alcotest.test_case "comparison values" `Quick test_cmp_values;
+    Alcotest.test_case "operand order with side-effecting calls" `Quick
+      test_operand_order;
+    Alcotest.test_case "operand order: workgen seed 400210 index 1719" `Quick
+      test_generated_operand_order;
   ]

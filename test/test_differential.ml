@@ -1,12 +1,14 @@
-(* Three-way engine differential: the predecoded AND the block-compiled
-   engines must produce *bit-identical* results to the reference
-   interpreter — cycles, IPC, toggles (via power switching energy), miss
-   classification, power report and program output — on every benchmark,
-   for both the ARM and FITS streams and both cache geometries.  16 KB
-   runs execute all three engines directly; the 8 KB data points replay
-   each engine's own recorded trace (the harness's own structure), so a
-   divergence in anything the trace captures — including the compiled
-   engine's block-granular recording — shows up there too. *)
+(* Three-way engine differential: the per-instruction path ("pre": the
+   [Pf_cpu.Step.step] loop alone, for FITS through a no-op [on_step]
+   hook) AND the block-compiled engine must produce *bit-identical*
+   results to the reference interpreter — cycles, IPC, toggles (via power
+   switching energy), miss classification, power report and program
+   output — on every benchmark, for both the ARM and FITS streams and
+   both cache geometries.  16 KB runs execute all three directly; the
+   8 KB data points replay each row's own recorded trace (the harness's
+   own structure), so a divergence in anything the trace captures —
+   including the compiled engine's block-granular recording — shows up
+   there too. *)
 
 module R = Pf_mibench.Registry
 module AR = Pf_cpu.Arm_run
@@ -55,15 +57,15 @@ let translate_benchmark (b : R.benchmark) =
 let test_benchmark (b : R.benchmark) () =
   let name = b.R.name in
   let image, tr = translate_benchmark b in
-  (* ARM stream: direct 16 KB runs under all three engines, replayed 8 KB
-     runs from each engine's own recording *)
+  (* ARM stream: direct 16 KB runs on all three paths, replayed 8 KB runs
+     from each path's own recording *)
   let tr_ref = Pf_cpu.Trace.create ~isize:4 () in
   let tr_pre = Pf_cpu.Trace.create ~isize:4 () in
   let tr_cmp = Pf_cpu.Trace.create ~isize:4 () in
   let a_ref =
     AR.run ~engine:AR.Reference ~cache_cfg:cache_16k ~trace:tr_ref image
   in
-  let a_pre = AR.run ~cache_cfg:cache_16k ~trace:tr_pre image in
+  let a_pre = Stepped.arm ~cache_cfg:cache_16k ~trace:tr_pre image in
   let a_cmp =
     AR.run ~engine:AR.Compiled ~cache_cfg:cache_16k ~trace:tr_cmp image
   in
@@ -87,7 +89,7 @@ let test_benchmark (b : R.benchmark) () =
   let f_ref =
     FR.run ~engine:FR.Reference ~cache_cfg:cache_16k ~trace:ft_ref tr
   in
-  let f_pre = FR.run ~cache_cfg:cache_16k ~trace:ft_pre tr in
+  let f_pre = Stepped.fits ~cache_cfg:cache_16k ~trace:ft_pre tr in
   let f_cmp =
     FR.run ~engine:FR.Compiled ~cache_cfg:cache_16k ~trace:ft_cmp tr
   in
@@ -101,38 +103,42 @@ let test_benchmark (b : R.benchmark) () =
 
 (* Miss classification goes through the shadow-LRU path that the plain
    runs skip: compare compulsory/capacity/conflict on a subset, for all
-   three engines. *)
+   three paths. *)
 let test_classification () =
   let subset = List.filteri (fun i _ -> i mod 7 = 0) R.all in
   List.iter
     (fun (b : R.benchmark) ->
       let image, tr = translate_benchmark b in
-      let classes engine =
+      let classes run =
         let cache = C.create ~classify:true cache_16k in
-        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image);
+        run ~cache;
         (C.stats_compulsory cache, C.stats_capacity cache,
          C.stats_conflict cache)
       in
-      let fclasses engine =
-        let cache = C.create ~classify:true cache_16k in
-        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr);
-        (C.stats_compulsory cache, C.stats_capacity cache,
-         C.stats_conflict cache)
+      let arm engine ~cache =
+        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image)
       in
-      let ref_c = classes AR.Reference in
+      let fits engine ~cache =
+        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr)
+      in
+      let ref_c = classes (arm AR.Reference) in
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": arm miss classes pre")
-        ref_c (classes AR.Predecoded);
+        ref_c
+        (classes (fun ~cache ->
+             ignore (Stepped.arm ~cache ~cache_cfg:cache_16k image)));
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": arm miss classes cmp")
-        ref_c (classes AR.Compiled);
-      let fref_c = fclasses FR.Reference in
+        ref_c (classes (arm AR.Compiled));
+      let fref_c = classes (fits FR.Reference) in
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": fits miss classes pre")
-        fref_c (fclasses FR.Predecoded);
+        fref_c
+        (classes (fun ~cache ->
+             ignore (Stepped.fits ~cache ~cache_cfg:cache_16k tr)));
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": fits miss classes cmp")
-        fref_c (fclasses FR.Compiled))
+        fref_c (classes (fits FR.Compiled)))
     subset
 
 let tests =

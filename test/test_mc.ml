@@ -167,7 +167,7 @@ let run_single_core core =
 
 let test_arm_bit_identity () =
   let image = build "crc32" in
-  let seq = Pf_cpu.Arm_run.run ~engine:Predecoded image in
+  let seq = Pf_cpu.Arm_run.run image in
   let mc = run_single_core (Mc.arm_core image) in
   Alcotest.(check int) "instructions" seq.Pf_cpu.Arm_run.instructions
     mc.Step.instructions;
@@ -194,7 +194,7 @@ let test_fits_bit_identity () =
   let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  let seq = Pf_fits.Run.run ~engine:Predecoded tr in
+  let seq = Pf_fits.Run.run tr in
   (* fits_core re-runs the same deterministic synthesis pipeline *)
   let mc = run_single_core (Mc.fits_core image) in
   Alcotest.(check int) "fits instructions" seq.Pf_fits.Run.fits_instructions

@@ -5,7 +5,7 @@
    could not). *)
 
 module E = Pf_harness.Experiment
-module Pool = Pf_harness.Pool
+module Pool = Pf_util.Pool
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

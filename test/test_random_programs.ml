@@ -249,18 +249,28 @@ let prop_spec_wellformed =
       && Array.length spec.Pf_fits.Spec.dict <= Pf_fits.Spec.dict_capacity)
 
 (* The execution-engine invariant under adversarial inputs: every random
-   program run by all three engines must produce the SAME result record —
-   instructions, cycles, every power float — and a step cutoff landing
-   anywhere (including mid basic block) must stop each engine at exactly
-   the same retired instruction: identical structured error, identical
-   recorded trace prefix.  This is what licenses defaulting harness,
-   bench and CLI to the compiled engine. *)
-let engines =
-  [
-    Pf_cpu.Arm_run.Reference;
-    Pf_cpu.Arm_run.Predecoded;
-    Pf_cpu.Arm_run.Compiled;
-  ]
+   program run by both engines and by the bare per-instruction [Step]
+   loop must produce the SAME result record — instructions, cycles, every
+   power float — and a step cutoff landing anywhere (including mid basic
+   block) must stop each at exactly the same retired instruction:
+   identical structured error, identical recorded trace prefix.  This is
+   what licenses defaulting harness, bench and CLI to the compiled
+   engine. *)
+let engines = [ Pf_cpu.Arm_run.Reference; Pf_cpu.Arm_run.Compiled ]
+
+let arm_runs =
+  List.map
+    (fun engine ~max_steps ~trace image ->
+      Pf_cpu.Arm_run.run ~engine ~max_steps ?trace image)
+    engines
+  @ [ (fun ~max_steps ~trace image -> Stepped.arm ~max_steps ?trace image) ]
+
+let fits_runs =
+  List.map
+    (fun engine ~max_steps ~trace tr ->
+      Pf_fits.Run.run ~engine ~max_steps ?trace tr)
+    engines
+  @ [ (fun ~max_steps ~trace tr -> Stepped.fits ~max_steps ?trace tr) ]
 
 let trace_sig t =
   let b = Buffer.create 4096 in
@@ -286,8 +296,8 @@ let prop_engines_agree =
       let image = Pf_armgen.Compile.program p in
       let arm_full =
         List.map
-          (fun e -> Pf_cpu.Arm_run.run ~engine:e ~max_steps:20_000_000 image)
-          engines
+          (fun run -> run ~max_steps:20_000_000 ~trace:None image)
+          arm_runs
       in
       check_all_equal "ARM full-run result" arm_full;
       (* a budget strictly inside the run: every engine must trip the
@@ -296,12 +306,11 @@ let prop_engines_agree =
         let total = (List.hd arm_full).Pf_cpu.Arm_run.instructions in
         let cut = 1 + (salt mod max 1 (total - 1)) in
         List.map
-          (fun e ->
+          (fun run ->
             let trace = Pf_cpu.Trace.create ~isize:4 () in
             let out =
               Pf_util.Sim_error.protect ~where:"test" (fun () ->
-                  ignore
-                    (Pf_cpu.Arm_run.run ~engine:e ~max_steps:cut ~trace image))
+                  ignore (run ~max_steps:cut ~trace:(Some trace) image))
             in
             (match out with
             | Error e when e.Pf_util.Sim_error.kind
@@ -314,7 +323,7 @@ let prop_engines_agree =
                   "ARM cutoff at %d of %d did not trip" cut total);
             ( (match out with Error e -> e.Pf_util.Sim_error.detail | Ok () -> ""),
               trace_sig trace ))
-          engines
+          arm_runs
       in
       check_all_equal "ARM cutoff (error, trace prefix)" arm_cut;
       (* same invariant on the FITS side, through synthesis + translation *)
@@ -325,19 +334,19 @@ let prop_engines_agree =
       let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
       let fits_full =
         List.map
-          (fun e -> Pf_fits.Run.run ~engine:e ~max_steps:20_000_000 tr)
-          engines
+          (fun run -> run ~max_steps:20_000_000 ~trace:None tr)
+          fits_runs
       in
       check_all_equal "FITS full-run result" fits_full;
       let fits_cut =
         let total = (List.hd fits_full).Pf_fits.Run.fits_instructions in
         let cut = 1 + (salt mod max 1 (total - 1)) in
         List.map
-          (fun e ->
+          (fun run ->
             let trace = Pf_cpu.Trace.create ~isize:2 () in
             let out =
               Pf_util.Sim_error.protect ~where:"test" (fun () ->
-                  ignore (Pf_fits.Run.run ~engine:e ~max_steps:cut ~trace tr))
+                  ignore (run ~max_steps:cut ~trace:(Some trace) tr))
             in
             (match out with
             | Error e when e.Pf_util.Sim_error.kind
@@ -350,7 +359,7 @@ let prop_engines_agree =
                   "FITS cutoff at %d of %d did not trip" cut total);
             ( (match out with Error e -> e.Pf_util.Sim_error.detail | Ok () -> ""),
               trace_sig trace ))
-          engines
+          fits_runs
       in
       check_all_equal "FITS cutoff (error, trace prefix)" fits_cut;
       true)

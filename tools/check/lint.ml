@@ -21,9 +21,10 @@
    optional arguments, float stores into mixed records), not of any
    greppable source pattern.  The guard for it is behavioural —
    test/test_alloc.ml measures [Gc.minor_words] deltas over ~100k-step
-   runs of the ARM and FITS predecoded engines and fails if a per-step
-   allocation creeps back in.  Keep that test in sync when adding fields
-   to the hot structs in lib/arm/pexec.ml or lib/cpu/pipeline.ml. *)
+   runs of the per-instruction [Step] loop and the ARM and FITS block
+   driver and fails if a per-step allocation creeps back in.  Keep that
+   test in sync when adding fields to the hot structs in
+   lib/arm/pexec.ml or lib/cpu/pipeline.ml. *)
 
 let allowlist : (string * string) list =
   [ (* currently empty: lib/ is fully converted to Sim_error *) ]
@@ -136,6 +137,109 @@ let has_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* One copy of the loop body.  [Pf_cpu.Step.step] is the only
+   per-instruction body of a fast run and [Pf_cpu.Cexec.run] the only
+   block driver; they are where micro-ops execute.  A [Pexec.exec] or
+   [Pexec.exec_dp_nr] call anywhere else in lib/ is a second copy of the
+   loop, whose watchdog, faults and pipeline issue would drift from the
+   first with only tests to notice.  The reference interpreters execute
+   through [Exec], not [Pexec], and stay independent by construction. *)
+let exec_owners = [ "lib/arm/pexec.ml"; "lib/cpu/step.ml"; "lib/cpu/cexec.ml" ]
+
+let exec_reason =
+  "micro-ops execute only in Pf_cpu.Step (per instruction) and \
+   Pf_cpu.Cexec (per block); drive a Step.t instead of writing another \
+   loop body"
+
+(* Blank out comments, keeping newlines so line numbers survive: the
+   exec rule reads code, and documentation may name [Pexec.exec]. *)
+let strip_comments s =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  let depth = ref 0 and i = ref 0 in
+  while !i < n do
+    let c = Bytes.get b !i in
+    let next = if !i + 1 < n then Bytes.get b (!i + 1) else ' ' in
+    if c = '(' && next = '*' then begin
+      incr depth;
+      Bytes.set b !i ' ';
+      Bytes.set b (!i + 1) ' ';
+      i := !i + 2
+    end
+    else if !depth > 0 && c = '*' && next = ')' then begin
+      decr depth;
+      Bytes.set b !i ' ';
+      Bytes.set b (!i + 1) ' ';
+      i := !i + 2
+    end
+    else if !depth = 0 && c = '"' then begin
+      (* skip a string literal, so "(*" inside one opens nothing *)
+      incr i;
+      while !i < n && Bytes.get b !i <> '"' do
+        if Bytes.get b !i = '\\' then incr i;
+        incr i
+      done;
+      incr i
+    end
+    else if !depth = 0 && c = '\'' && !i + 2 < n && Bytes.get b (!i + 2) = '\''
+    then (* a character literal such as '"' *)
+      i := !i + 3
+    else if !depth = 0 && c = '\'' && next = '\\' then begin
+      (* an escaped character literal: '\'', '\n', '\123' *)
+      i := !i + 3;
+      while !i < n && Bytes.get b !i <> '\'' do
+        incr i
+      done;
+      incr i
+    end
+    else begin
+      if !depth > 0 && c <> '\n' then Bytes.set b !i ' ';
+      incr i
+    end
+  done;
+  Bytes.to_string b
+
+(* Module names bound to Pexec in [lines] (e.g. [module Px = Pf_arm.Pexec]),
+   plus Pexec itself. *)
+let pexec_names lines =
+  "Pexec"
+  :: List.filter_map
+       (fun line ->
+         Scanf.sscanf_opt line " module %s@= %s" (fun m rhs ->
+             if rhs = "Pf_arm.Pexec" || rhs = "Pexec" then Some (String.trim m)
+             else None)
+         |> Option.join)
+       lines
+
+let check_exec_owners root files violations =
+  List.iter
+    (fun file ->
+      if
+        Filename.check_suffix file ".ml"
+        && not (List.exists (fun o -> Filename.check_suffix file o) exec_owners)
+      then begin
+        let code =
+          In_channel.with_open_text (Filename.concat root file)
+            In_channel.input_all
+          |> strip_comments |> String.split_on_char '\n'
+        in
+        let names = pexec_names code in
+        let patterns =
+          [ "open Pf_arm.Pexec"; "open Pexec"; "Pexec.(" ]
+          @ List.map (fun m -> m ^ ".exec") names
+        in
+        List.iteri
+          (fun i line ->
+            match List.find_opt (fun sub -> has_sub ~sub line) patterns with
+            | Some pat ->
+                Printf.eprintf "%s:%d: `%s' — %s\n" file (i + 1) pat
+                  exec_reason;
+                incr violations
+            | None -> ())
+          code
+      end)
+    files
+
 let rec source_files dir =
   Array.to_list (Sys.readdir dir)
   |> List.concat_map (fun entry ->
@@ -174,7 +278,9 @@ let () =
       exit 2)
   in
   let violations = ref 0 in
-  check_interfaces root (source_files (Filename.concat root "lib")) violations;
+  let lib_files = source_files (Filename.concat root "lib") in
+  check_interfaces root lib_files violations;
+  check_exec_owners root lib_files violations;
   List.iter
     (fun file ->
       let ic = open_in (Filename.concat root file) in
@@ -205,7 +311,7 @@ let () =
          done
        with End_of_file -> ());
       close_in ic)
-    (source_files (Filename.concat root "lib"));
+    lib_files;
   if !violations > 0 then begin
     Printf.eprintf "lint: %d violation(s)\n" !violations;
     exit 1

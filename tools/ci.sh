@@ -21,17 +21,15 @@ dune build
 echo "== test =="
 dune runtest
 
-echo "== engine differential: reference vs predecoded vs compiled =="
+echo "== engine differential: reference vs compiled =="
 # The run reports are fully deterministic (no wall-clock in them), so the
-# three engines must print byte-identical bytes — instructions, cycles,
+# two engines must print byte-identical bytes — instructions, cycles,
 # misses, every power figure, program output — for both ISAs.
 ENG_DIR=$(mktemp -d)
-for eng in reference predecoded compiled; do
+for eng in reference compiled; do
   dune exec bin/powerfits.exe -- run --benchmarks crc32,sha,qsort \
     --engine "$eng" >"$ENG_DIR/$eng.out"
 done
-cmp -s "$ENG_DIR/reference.out" "$ENG_DIR/predecoded.out" || {
-  echo "ci: predecoded engine diverges from reference"; exit 1; }
 cmp -s "$ENG_DIR/reference.out" "$ENG_DIR/compiled.out" || {
   echo "ci: compiled engine diverges from reference"; exit 1; }
 rm -rf "$ENG_DIR"
