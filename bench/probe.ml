@@ -1,31 +1,14 @@
-(* bench/probe.exe — layer-by-layer steps/sec profiler.
+(* bench/probe.exe — per-benchmark views of the block-compiled engine,
+   for attributing its cost while optimizing it.  No JSON, no baselines:
+   the repeated, per-layer measurement is perfbench's `--trace 1` run.
 
-   Times each layer of the simulation stack on a real benchmark
-   (basicmath) plus tight microbenchmark loops over the per-step
-   primitives, so a throughput regression can be attributed to a layer
-   in seconds instead of re-running the full sweep.  No JSON, no
-   baselines: this is the tool you run while optimizing; the CI guard is
-   `main.exe --check BENCH_sweep.json`.
-
-   Modes (for measuring the block-compiled engine per benchmark, not
-   just in aggregate):
-
-     probe.exe                    layer microbenchmarks (default)
      probe.exe --blocks  [b,...]  static + dynamic basic-block length
                                   histograms per benchmark (ARM + FITS)
-     probe.exe --attrib  [b,...]  per-benchmark dispatch-vs-memory time
-                                  attribution across the engines *)
+     probe.exe --attrib  [b,...]  per-benchmark dispatch-vs-memory time,
+                                  per-instruction Step loop vs compiled *)
 
 module Px = Pf_arm.Pexec
 module Bx = Pf_arm.Bexec
-
-let time name f =
-  let t0 = Unix.gettimeofday () in
-  let steps = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-28s %10.3f s  %12.0f steps/sec\n" name dt
-    (float_of_int steps /. dt);
-  flush stdout
 
 let prepare (b : Pf_mibench.Registry.benchmark) =
   let p = b.Pf_mibench.Registry.program ~scale:1 in
@@ -150,138 +133,65 @@ let mode_blocks args =
 (* ---- --attrib: dispatch vs memory attribution -------------------------- *)
 
 (* Per benchmark: the bare interpreter rate isolates dispatch+execute
-   cost; the full-stack rate adds the fetch/cache/pipeline/power side
-   ("memory").  The compiled engine's dispatch cost is then its total
-   minus the (engine-independent) memory side. *)
+   cost; the per-instruction full stack ([Pf_cpu.Step.step] one
+   instruction at a time, the loop test/stepped.ml drives) adds the
+   fetch/cache/pipeline/power side ("memory").  The compiled engine's
+   dispatch cost is then its total minus that memory side. *)
 let mode_attrib args =
   Printf.printf
-    "%-12s %9s %9s %9s  %8s %8s %8s %8s\n" "benchmark" "pre_M/s" "cmp_M/s"
+    "%-12s %9s %9s %9s  %8s %8s %8s %8s\n" "benchmark" "step_M/s" "cmp_M/s"
     "speedup" "disp_ns" "mem_ns" "cdisp_ns" "insns";
   List.iter
     (fun (b : Pf_mibench.Registry.benchmark) ->
       let name = b.Pf_mibench.Registry.name in
       let image, _ = prepare b in
       let prog = Px.compile image in
-      let rate f =
-        (* warm, then best of two timed runs *)
-        ignore (f ());
-        let best = ref infinity and steps = ref 0 in
-        for _ = 1 to 2 do
-          let t0 = Unix.gettimeofday () in
-          steps := f ();
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt
+      let bare () =
+        let st = Pf_arm.Exec.create image in
+        Px.run prog st;
+        st.Pf_arm.Exec.steps
+      in
+      let step () =
+        let s = Pf_cpu.Step.of_image image in
+        while not (Pf_cpu.Step.halted s) do
+          Pf_cpu.Step.step s
         done;
-        (float_of_int !steps /. !best, !steps)
+        (Pf_cpu.Step.result s).Pf_cpu.Step.instructions
       in
-      let bare, _ =
-        rate (fun () ->
-            let st = Pf_arm.Exec.create image in
-            Px.run prog st;
-            st.Pf_arm.Exec.steps)
+      let cmp () =
+        (Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled image)
+          .Pf_cpu.Arm_run.instructions
       in
-      let pre, insns =
-        rate (fun () ->
-            (Pf_cpu.Arm_run.run image).Pf_cpu.Arm_run.instructions)
-      in
-      let cmp, _ =
-        rate (fun () ->
-            (Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled image)
-              .Pf_cpu.Arm_run.instructions)
-      in
+      (* warm, then the best of seven timed runs of each, interleaved so
+         that all three see the same host: the step-vs-compiled gap is a
+         few ns per instruction, within one run's host noise *)
+      let fs = [| bare; step; cmp |] in
+      Array.iter (fun f -> ignore (f ())) fs;
+      let best = Array.make 3 infinity and steps = Array.make 3 0 in
+      for _ = 1 to 7 do
+        Array.iteri
+          (fun i f ->
+            let t0 = Unix.gettimeofday () in
+            steps.(i) <- f ();
+            best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
+          fs
+      done;
+      let rate i = float_of_int steps.(i) /. best.(i) in
+      let bare = rate 0 and step = rate 1 and cmp = rate 2 in
+      let insns = steps.(1) in
       let ns r = 1e9 /. r in
-      let mem_ns = ns pre -. ns bare in
+      let mem_ns = ns step -. ns bare in
       Printf.printf "%-12s %9.1f %9.1f %8.2fx  %8.1f %8.1f %8.1f %8d\n" name
-        (pre /. 1e6) (cmp /. 1e6) (cmp /. pre) (ns bare) mem_ns
+        (step /. 1e6) (cmp /. 1e6) (cmp /. step) (ns bare) mem_ns
         (Float.max 0.0 (ns cmp -. mem_ns))
         insns;
       flush stdout)
     (benchmarks_of_args args)
 
-(* ---- default: layer microbenchmarks ------------------------------------ *)
-
-let mode_layers () =
-  let b = Pf_mibench.Registry.find "basicmath" in
-  let image, tr = prepare b in
-  let prog = Px.compile image in
-  (* warmup *)
-  let st = Pf_arm.Exec.create image in
-  Px.run prog st;
-  time "pexec bare" (fun () ->
-      let st = Pf_arm.Exec.create image in
-      Px.run prog st;
-      st.Pf_arm.Exec.steps);
-  time "arm_run full (pre)" (fun () ->
-      let r = Pf_cpu.Arm_run.run image in
-      r.Pf_cpu.Arm_run.instructions);
-  time "arm_run full (cmp)" (fun () ->
-      let r = Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled image in
-      r.Pf_cpu.Arm_run.instructions);
-  time "arm_run + trace (pre)" (fun () ->
-      let t = Pf_cpu.Trace.create ~isize:4 () in
-      let r = Pf_cpu.Arm_run.run ~trace:t image in
-      r.Pf_cpu.Arm_run.instructions);
-  time "arm_run + trace (cmp)" (fun () ->
-      let t = Pf_cpu.Trace.create ~isize:4 () in
-      let r =
-        Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled ~trace:t image
-      in
-      r.Pf_cpu.Arm_run.instructions);
-  (let t = Pf_cpu.Trace.create ~isize:4 () in
-   let r = Pf_cpu.Arm_run.run ~trace:t image in
-   time "arm replay" (fun () ->
-       let r2 =
-         Pf_cpu.Arm_run.replay
-           ~cache_cfg:(Pf_cache.Icache.config ~size_bytes:8192 ())
-           ~output:r.Pf_cpu.Arm_run.output image t
-       in
-       r2.Pf_cpu.Arm_run.instructions));
-  time "fits_run full (pre)" (fun () ->
-      let r = Pf_fits.Run.run tr in
-      r.Pf_fits.Run.fits_instructions);
-  time "fits_run full (cmp)" (fun () ->
-      let r = Pf_fits.Run.run ~engine:Pf_fits.Run.Compiled tr in
-      r.Pf_fits.Run.fits_instructions);
-  let n = 5_000_000 in
-  let cfg16 = Pf_cache.Icache.config ~size_bytes:16384 () in
-  (let c = Pf_cache.Icache.create cfg16 in
-   time "icache access_fast x5M" (fun () ->
-       let acc = ref 0 in
-       for i = 0 to n - 1 do
-         acc :=
-           !acc
-           + Pf_cache.Icache.access_fast c ~addr:(i * 4 land 0x7FF)
-               ~data:(i * 1664525)
-       done;
-       ignore !acc;
-       n));
-  (let geometry = Pf_power.Geometry.of_config cfg16 in
-   let a = Pf_power.Account.create geometry in
-   time "account on_access+cycles x5M" (fun () ->
-       for _ = 0 to n - 1 do
-         Pf_power.Account.on_access a ~toggles:12 ~refilled_words:0;
-         Pf_power.Account.on_cycles a 1
-       done;
-       n));
-  (let cache = Pf_cache.Icache.create cfg16 in
-   let account = Pf_power.Account.create (Pf_power.Geometry.of_config cfg16) in
-   let pipe =
-     Pf_cpu.Pipeline.create ~cache ~account
-       ~fetch_data:(fun a -> a * 1664525)
-       ()
-   in
-   time "pipeline issue x5M" (fun () ->
-       for i = 0 to n - 1 do
-         Pf_cpu.Pipeline.issue pipe ~backward:false ~mem_addr:(-1)
-           ~dmisses:(-1)
-           ~addr:(i * 4 land 0x7FF)
-           ~size:4 ~cls:Pf_cpu.Pipeline.Alu ~reads:3 ~writes:4 ~taken:false
-           ~mem_words:0
-       done;
-       n))
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--blocks" :: rest -> mode_blocks rest
   | _ :: "--attrib" :: rest -> mode_attrib rest
-  | _ -> mode_layers ()
+  | _ ->
+      prerr_endline "usage: probe.exe (--blocks | --attrib) [benchmark,...]";
+      exit 2

@@ -356,11 +356,6 @@ let completed_runs t =
     (fun r -> match r.outcome with Ok b -> Some b | Error _ -> None)
     t.rows
 
-let replayed_events t =
-  List.fold_left
-    (fun acc b -> acc + b.replayed_events)
-    0 (completed_runs t)
-
 let diverged t =
   List.exists (fun b -> not b.outputs_consistent) (completed_runs t)
 

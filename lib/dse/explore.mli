@@ -169,7 +169,6 @@ val fits_sweep :
 (** {2 Derived views} *)
 
 val completed_runs : t -> bench_run list
-val replayed_events : t -> int
 val diverged : t -> bool
 (** True when any completed benchmark printed non-reference output —
     the CLI maps this to exit code 3, as [run]/[figures] do. *)

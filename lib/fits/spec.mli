@@ -130,8 +130,9 @@ val with_data_plane : t -> dict:int array -> reglists:A.reg list array -> t
     programmable instruction decoder) but swap the per-application data
     tables — immediate dictionary and register-list table.  This is the
     §3.1 upgrade scenario: reconfiguring the decoder for new software
-    without re-synthesizing opcodes, and the basis of the
-    cross-application reuse study in bench/main.exe. *)
+    without re-synthesizing opcodes.  bench/main.exe's cross-application
+    reuse study and the population campaigns' per-phase data planes are
+    built on it. *)
 
 val encode : t -> opdef -> rc:int -> ra:int -> oprd:int -> int
 (** Pack fields into the 16-bit word for [opdef].  Field meaning depends

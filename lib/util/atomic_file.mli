@@ -2,12 +2,12 @@
     fsync) with injectable crash points.
 
     Every file this repository publishes for later consumption — the
-    artifact-store records, [BENCH_sweep.json], the explore [--csv] /
-    [--json] emissions — goes through {!write}, so a crash at any instant
-    leaves either the complete old content or the complete new content at
-    [path], never a torn mixture.  The only residue a crash can leave is
-    a stale [<path>.tmp.<pid>.<n>] sibling, recognizable with
-    {!is_temp}. *)
+    artifact-store records and index, the explore [--csv] / [--json]
+    emissions, the loadgen [--json] record, perfbench's span traces —
+    goes through {!write}, so a crash at any instant leaves either the
+    complete old content or the complete new content at [path], never a
+    torn mixture.  The only residue a crash can leave is a stale
+    [<path>.tmp.<pid>.<n>] sibling, recognizable with {!is_temp}. *)
 
 (** Where a simulated crash strikes, in write order. *)
 type crash_point =
