@@ -71,9 +71,19 @@ let resolve_bench_selection ~cmd positional benchmarks =
         cmd;
       exit 2
 
+(* --scale below 1 builds degenerate programs (crc32 at scale 0 declares
+   a zero-length data array); reject it once, here, as a structured
+   Invalid_config like a malformed --jobs, before any subcommand runs *)
 let scale_arg =
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N"
-         ~doc:"Input-size multiplier (default 1).")
+  let resolve_scale s =
+    if s < 1 then
+      Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cli"
+        "scale must be >= 1 (got %d)" s;
+    s
+  in
+  Term.(const resolve_scale
+        $ Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N"
+                 ~doc:"Input-size multiplier (default 1)."))
 
 let jobs_arg =
   Arg.(value & opt (some int) None
@@ -183,11 +193,11 @@ let max_steps_arg =
            ~doc:"Step-budget watchdog; exceeding it fails with a structured \
                  timeout (exit code 4).")
 
-(* Execution-engine selector shared by `run` and `figures`.  Distinct
-   from `explore --engine replay|sweep`, which picks how the DSE grid is
-   evaluated; this one picks how an instruction stream is *executed*.
-   Both engines retire the identical architectural stream (pinned by the
-   engine differential tests), so it affects simulator speed only. *)
+(* Execution-engine selector shared by `run` and `figures`: it picks how
+   an instruction stream is *executed*, not how `explore` evaluates cache
+   geometries (always the single-pass sweep).  Both engines retire the
+   identical architectural stream (pinned by the engine differential
+   tests), so it affects simulator speed only. *)
 let exec_engine_arg =
   let engine_conv =
     Arg.enum
@@ -250,10 +260,7 @@ let run_cmd =
           ~mr:r.Pf_fits.Run.miss_rate_per_million r.Pf_fits.Run.power
           r.Pf_fits.Run.output
   in
-  let run name benchmarks scale config max_steps engine jobs =
-    (* a single-configuration simulation has no sweep to spread across
-       domains; --jobs is accepted for symmetry with figures/inject *)
-    ignore (resolve_jobs jobs);
+  let run name benchmarks scale config max_steps engine =
     let benches = resolve_bench_selection ~cmd:"run" name benchmarks in
     let many = List.length benches > 1 in
     List.iter
@@ -269,7 +276,7 @@ let run_cmd =
          "Simulate one benchmark (or a --benchmarks subset) on one of the \
           four configurations.")
     Term.(const run $ bench_opt_arg $ benchmarks_arg $ scale_arg
-          $ config_arg $ max_steps_arg $ exec_engine_arg $ jobs_arg)
+          $ config_arg $ max_steps_arg $ exec_engine_arg)
 
 (* ---- figures ---- *)
 
@@ -580,15 +587,6 @@ let explore_cmd =
                    (sizes/blocks take a k suffix; dicts caps the FITS \
                    dictionary, $(b,none) = the uncapped per-app flow).")
   in
-  let engine_arg =
-    Arg.(value & opt (some string) None
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Force the evaluation engine: $(b,replay) (one trace \
-                   replay per geometry) or $(b,sweep) (one stack-distance \
-                   pass per trace, all geometries at once).  Default: \
-                   chosen per grid density.  Results are bit-identical \
-                   either way.")
-  in
   let cross_check_arg =
     Arg.(value & flag
          & info [ "cross-check" ]
@@ -741,7 +739,7 @@ let explore_cmd =
         "cross-check: %d points bit-identical to the replay oracle\n%!"
         !compared
   in
-  let run grid benchmarks scale max_steps jobs engine do_cross csv json =
+  let run grid benchmarks scale max_steps jobs do_cross csv json =
     let jobs = resolve_jobs jobs in
     let space =
       match D.Space.of_string grid with
@@ -750,21 +748,11 @@ let explore_cmd =
           Printf.eprintf "powerfits explore: %s\n" msg;
           exit 2
     in
-    let engine =
-      match engine with
-      | None -> None
-      | Some e -> (
-          match D.Space.engine_of_string e with
-          | Ok e -> Some e
-          | Error msg ->
-              Printf.eprintf "powerfits explore: %s\n" msg;
-              exit 2)
-    in
     let benches = resolve_benchmarks benchmarks in
     Printf.eprintf "explore: %s\n%!"
       (D.Space.describe ~benchmarks:(List.length benches) space);
     let t =
-      D.Explore.run ~scale ?max_steps ~jobs ?engine ~benchmarks:benches space
+      D.Explore.run ~scale ?max_steps ~jobs ~benchmarks:benches space
     in
     Printf.eprintf "%s\n%!" (D.Explore.banner t);
     if do_cross then cross_check ~scale ~max_steps ~jobs ~benches space t;
@@ -849,13 +837,12 @@ let explore_cmd =
        ~doc:
          "Design-space exploration: sweep cache geometries (and FITS \
           dictionary budgets) over the suite — one execution per ISA per \
-          benchmark, then either one cheap replay per geometry or, for \
-          dense grids, one single-pass stack-distance sweep per trace \
+          benchmark, then one single-pass stack-distance sweep per trace \
           covering every geometry at once — and report deterministic \
           Pareto frontiers with the paper's four configurations \
           annotated.")
     Term.(const run $ grid_arg $ benchmarks_arg $ scale_arg $ max_steps_arg
-          $ jobs_arg $ engine_arg $ cross_check_arg $ csv_arg $ json_arg)
+          $ jobs_arg $ cross_check_arg $ csv_arg $ json_arg)
 
 (* ---- serve ---- *)
 

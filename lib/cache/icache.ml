@@ -66,54 +66,6 @@ let tag_of_block c ~block = block lsr Bits.log2_exact (sets c)
 let[@inline] index_toggle ~last_idx ~idx = Bits.hamming idx last_idx
 let[@inline] output_toggle ~last_out ~out = Bits.hamming out last_out
 
-(* Fully-associative shadow cache for miss classification, kept as an
-   intrusive doubly-linked recency list (sentinel-based) plus a block ->
-   node table.  Touch and evict are O(1); the previous implementation
-   stored last-use times and scanned the whole table for the minimum on
-   every eviction, which made --classify sweeps quadratic-ish in shadow
-   capacity.  Since use times were unique and strictly increasing, evicting
-   the list tail removes exactly the block the time scan would have. *)
-type lru_node = {
-  blk : int;
-  mutable prev : lru_node;
-  mutable next : lru_node;
-}
-
-type lru = {
-  head : lru_node;  (* sentinel: [head.next] = MRU, [head.prev] = LRU *)
-  nodes : (int, lru_node) Hashtbl.t;
-  capacity : int;
-}
-
-let lru_create capacity =
-  let rec s = { blk = min_int; prev = s; next = s } in
-  { head = s; nodes = Hashtbl.create 1024; capacity }
-
-let lru_unlink n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev
-
-let lru_push_front l n =
-  n.next <- l.head.next;
-  n.prev <- l.head;
-  l.head.next.prev <- n;
-  l.head.next <- n
-
-let lru_touch l b =
-  match Hashtbl.find_opt l.nodes b with
-  | Some n ->
-      lru_unlink n;
-      lru_push_front l n
-  | None ->
-      if Hashtbl.length l.nodes >= l.capacity then begin
-        let tail = l.head.prev in
-        lru_unlink tail;
-        Hashtbl.remove l.nodes tail.blk
-      end;
-      let n = { blk = b; prev = l.head; next = l.head } in
-      Hashtbl.replace l.nodes b n;
-      lru_push_front l n
-
 type t = {
   cfg : config;
   nsets : int;
@@ -126,23 +78,18 @@ type t = {
   tags : int array;
   mutable accesses : int;
   mutable misses : int;
-  mutable compulsory : int;
-  mutable capacity : int;
-  mutable conflict : int;
   mutable out_toggles : int;
   mutable idx_toggles : int;
   mutable refills : int;
   mutable last_out : int;
   mutable last_idx : int;
-  seen : (int, unit) Hashtbl.t option;     (* blocks ever touched *)
-  shadow : lru option;
   (* fault injection: (at_access, slot, bit) tag flips applied the first
      time the access counter reaches at_access *)
   mutable pending_flips : (int * int * int) list;
   mutable flips_applied : int;
 }
 
-let create ?(classify = false) cfg =
+let create cfg =
   (* [config] already validated, but a record literal can bypass it *)
   validate cfg;
   let nsets = sets cfg in
@@ -156,18 +103,11 @@ let create ?(classify = false) cfg =
     tags = Array.make (nsets * cfg.assoc) (-1);
     accesses = 0;
     misses = 0;
-    compulsory = 0;
-    capacity = 0;
-    conflict = 0;
     out_toggles = 0;
     idx_toggles = 0;
     refills = 0;
     last_out = 0;
     last_idx = 0;
-    seen = (if classify then Some (Hashtbl.create 1024) else None);
-    shadow =
-      (if classify then Some (lru_create (cfg.size_bytes / cfg.block_bytes))
-       else None);
     pending_flips = [];
     flips_applied = 0;
   }
@@ -177,19 +117,6 @@ type result = {
   toggles : int;
   refilled_words : int;
 }
-
-let classify_miss t block =
-  match (t.seen, t.shadow) with
-  | Some seen, Some l ->
-      if not (Hashtbl.mem seen block) then begin
-        Hashtbl.replace seen block ();
-        t.compulsory <- t.compulsory + 1
-      end
-      else if Hashtbl.mem l.nodes block then
-        (* present in the fully-associative shadow: a conflict miss *)
-        t.conflict <- t.conflict + 1
-      else t.capacity <- t.capacity + 1
-  | _ -> ()
 
 let slots t = t.nsets * t.cfg.assoc
 
@@ -251,25 +178,22 @@ let access_fast t ~addr ~data =
       done;
       Array.unsafe_set tags base tag
     end;
-    (match t.shadow with None -> () | Some l -> lru_touch l block);
     ((idx_t + out_t) lsl 16) lor 1
   end
   else begin
     t.misses <- t.misses + 1;
     let rw = t.refill_block_words in
     t.refills <- t.refills + rw;
-    (match t.seen with None -> () | Some _ -> classify_miss t block);
     (* insert at MRU, evict LRU (last way) *)
     Array.blit tags base tags (base + 1) (assoc - 1);
     tags.(base) <- tag;
-    (match t.shadow with None -> () | Some l -> lru_touch l block);
     ((idx_t + out_t) lsl 16) lor (rw lsl 1)
   end
 
 (* [access_fast] minus the switching-activity model: no index/output
-   Hamming toggles, no bus state.  Tag array, MRU order, miss counters,
-   classification and pending flips evolve identically, so the hit/miss
-   sequence is bit-identical to [access_fast] on the same address stream.
+   Hamming toggles, no bus state.  Tag array, MRU order, miss counters
+   and pending flips evolve identically, so the hit/miss sequence is
+   bit-identical to [access_fast] on the same address stream.
    Only sound on an instance whose toggle counters are never read AND
    whose every access goes through this entry point (skipping the
    [last_idx]/[last_out] updates desynchronizes any later toggle
@@ -297,16 +221,13 @@ let access_count t ~addr =
       done;
       Array.unsafe_set tags base tag
     end;
-    (match t.shadow with None -> () | Some l -> lru_touch l block);
     true
   end
   else begin
     t.misses <- t.misses + 1;
     t.refills <- t.refills + t.refill_block_words;
-    (match t.seen with None -> () | Some _ -> classify_miss t block);
     Array.blit tags base tags (base + 1) (assoc - 1);
     tags.(base) <- tag;
-    (match t.shadow with None -> () | Some l -> lru_touch l block);
     false
   end
 
@@ -318,10 +239,7 @@ let line_of_addr t ~addr = addr lsr t.block_shift
    invalidate, the simplest protocol that keeps private caches coherent.
    Later ways shift up so the MRU-first order stays compact (an invalid
    way in the middle would end the way search early on [access_count]'s
-   linear probe only by accident of tag value).  The shadow LRU is left
-   alone: it models a fully-associative cache of the same capacity for
-   miss *classification*, and a coherence invalidation is not a capacity
-   or conflict phenomenon — D-caches never classify anyway. *)
+   linear probe only by accident of tag value). *)
 let invalidate_addr t ~addr =
   let block = addr lsr t.block_shift in
   let set = block land (t.nsets - 1) in
@@ -348,14 +266,12 @@ let invalidate_addr t ~addr =
    same cache line.  Under that precondition the outcome of [access_fast]
    is fully determined — both its hit and its miss path leave the touched
    line at way 0 (MRU-first order), so this access is a way-0 hit; the set
-   index equals [last_idx], so the decoder Hamming toggle is 0; and the
-   shadow-LRU touch is idempotent (the block is already at the recency
-   front).  The only state that changes is the access counter and the
-   output-bus toggle stream.  Pending tag flips take the slow path: a flip
-   can corrupt the way-0 tag between two sequential fetches and its due
-   time is a function of the access counter — and after [access_fast]
-   handles it, the matched-or-refilled tag is back at way 0, re-arming the
-   precondition.  Counter-for-counter identical to [access_fast]; the
+   index equals [last_idx], so the decoder Hamming toggle is 0.  The only
+   state that changes is the access counter and the output-bus toggle
+   stream.  Pending tag flips take the slow path: a flip can corrupt the
+   way-0 tag between two sequential fetches and its due time is a function
+   of the access counter — and after [access_fast] handles it, the
+   matched-or-refilled tag is back at way 0, re-arming the precondition.  Counter-for-counter identical to [access_fast]; the
    replay-equivalence and three-way differential tests assert it. *)
 let access_seq t ~addr ~data =
   match t.pending_flips with
@@ -365,9 +281,6 @@ let access_seq t ~addr ~data =
       let out_t = output_toggle ~last_out:t.last_out ~out:data in
       t.out_toggles <- t.out_toggles + out_t;
       t.last_out <- data;
-      (match t.shadow with
-      | None -> ()
-      | Some l -> lru_touch l (addr lsr t.block_shift));
       (out_t lsl 16) lor 1
 
 let has_pending_flips t = t.pending_flips <> []
@@ -376,14 +289,12 @@ let block_bytes t = t.cfg.block_bytes
 (* Bulk form of [naccesses] same-line sequential hits.  Preconditions
    (caller-proved, see the mli): every access is to the line of the
    immediately preceding access, so each is a guaranteed way-0 MRU hit
-   with zero index toggles (same set), refills nothing, and leaves the
-   shadow recency list unchanged (the block is already at the front —
-   [lru_touch] is idempotent there).  [toggles] must be the Hamming sum
-   of the accessed word sequence against its predecessors and [last_out]
-   the final word driven on the bus.  No pending tag flips: the access
-   counter jumps by [naccesses], so a flip falling due inside the run
-   would be applied late — callers check [has_pending_flips] and take the
-   per-access path instead. *)
+   with zero index toggles (same set) and refills nothing.  [toggles] must
+   be the Hamming sum of the accessed word sequence against its
+   predecessors and [last_out] the final word driven on the bus.  No
+   pending tag flips: the access counter jumps by [naccesses], so a flip
+   falling due inside the run would be applied late — callers check
+   [has_pending_flips] and take the per-access path instead. *)
 let access_seq_run t ~naccesses ~toggles ~last_out =
   t.accesses <- t.accesses + naccesses;
   t.out_toggles <- t.out_toggles + toggles;
@@ -399,9 +310,6 @@ let access t ~addr ~data =
 
 let stats_accesses t = t.accesses
 let stats_misses t = t.misses
-let stats_compulsory t = t.compulsory
-let stats_capacity t = t.capacity
-let stats_conflict t = t.conflict
 let output_toggles t = t.out_toggles
 let addr_toggles t = t.idx_toggles
 let refill_words t = t.refills
@@ -413,9 +321,6 @@ let miss_rate_per_million t =
 let reset_stats t =
   t.accesses <- 0;
   t.misses <- 0;
-  t.compulsory <- 0;
-  t.capacity <- 0;
-  t.conflict <- 0;
   t.out_toggles <- 0;
   t.idx_toggles <- 0;
   t.refills <- 0;

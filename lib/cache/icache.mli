@@ -8,10 +8,7 @@
       onto the fetch bus;
     - address-path toggles: Hamming distance between consecutive set
       indices (decoder switching);
-    - refill traffic: words written into the array on each miss.
-
-    Misses are optionally classified compulsory / capacity / conflict
-    against a fully-associative shadow cache of the same capacity. *)
+    - refill traffic: words written into the array on each miss. *)
 
 type config = {
   size_bytes : int;
@@ -61,9 +58,7 @@ val output_toggle : last_out:int -> out:int -> int
 
 type t
 
-val create : ?classify:bool -> config -> t
-(** [classify] (default false) enables the shadow cache for miss
-    classification; it costs extra simulation time. *)
+val create : config -> t
 
 type result = {
   hit : bool;
@@ -86,11 +81,11 @@ val access_fast : t -> addr:int -> data:int -> int
 val access_count : t -> addr:int -> bool
 (** {!access_fast} minus the switching-activity model: returns the hit
     bit alone and skips the index/output Hamming toggles and bus-state
-    updates.  Tag array, MRU order, miss counters, classification and
-    pending flips evolve identically, so the hit/miss sequence on any
-    address stream is bit-identical.  Only sound on an instance whose
-    toggle counters are never read and whose {e every} access goes
-    through this entry point — the pipeline's D-cache, whose misses are
+    updates.  Tag array, MRU order, miss counters and pending flips
+    evolve identically, so the hit/miss sequence on any address stream
+    is bit-identical.  Only sound on an instance whose toggle counters
+    are never read and whose {e every} access goes through this entry
+    point — the pipeline's D-cache, whose misses are
     the only thing the timing model consumes (power accounting models
     the I-cache alone). *)
 
@@ -113,10 +108,9 @@ val access_seq : t -> addr:int -> data:int -> int
 val access_seq_run : t -> naccesses:int -> toggles:int -> last_out:int -> unit
 (** Bulk form of [naccesses] consecutive {!access_seq}-eligible fetches:
     every access touches the line of the immediately preceding access (so
-    each is a guaranteed way-0 hit with zero index toggles and an
-    unchanged shadow recency front), [toggles] is the output-bus Hamming
-    sum of the fetched word sequence, and [last_out] the final word on
-    the bus.  Counter-for-counter identical to the per-access calls under
+    each is a guaranteed way-0 hit with zero index toggles), [toggles] is
+    the output-bus Hamming sum of the fetched word sequence, and
+    [last_out] the final word on the bus.  Counter-for-counter identical to the per-access calls under
     those preconditions — only the access counter, the output-toggle
     total and the bus baseline advance.  Callers must check
     {!has_pending_flips} first: the access counter jumps by [naccesses],
@@ -128,9 +122,8 @@ val invalidate_addr : t -> addr:int -> bool
     coherence hook: the multicore machine's write-through snooping layer
     invalidates the written line in every {e other} core's private
     D-cache so a later read there must re-fetch the (already propagated)
-    data.  Remaining ways keep their MRU-first order; statistics and the
-    classification shadow are untouched (an invalidation is neither a
-    capacity nor a conflict event). *)
+    data.  Remaining ways keep their MRU-first order; statistics are
+    untouched. *)
 
 val has_pending_flips : t -> bool
 (** Are tag flips scheduled but not yet applied?  While true, batched
@@ -143,9 +136,6 @@ val block_bytes : t -> int
 
 val stats_accesses : t -> int
 val stats_misses : t -> int
-val stats_compulsory : t -> int
-val stats_capacity : t -> int
-val stats_conflict : t -> int
 
 val output_toggles : t -> int
 (** Total Hamming distance accumulated on the output bus. *)

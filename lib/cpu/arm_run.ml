@@ -75,12 +75,12 @@ let report ?trace ~pipe ~cache ~dcache ~account st =
 
 (* The reference oracle: [Pf_arm.Exec.run] re-decoding every dynamic step,
    with its own stack and metadata, sharing nothing with [Step]. *)
-let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
+let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ?max_steps
+    ?deadline ?trace (image : Pf_arm.Image.t) =
   let cache =
     match cache with
     | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
+    | None -> Pf_cache.Icache.create cache_cfg
   in
   let dcache = Pf_cache.Icache.create dcache_cfg in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
@@ -118,25 +118,24 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
   report ?trace ~pipe ~cache ~dcache ~account st
 
 let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(classify = false) ?max_steps ?deadline
-    ?trace image =
+    ?pipeline_cfg ?power_params ?max_steps ?deadline ?trace image =
   match engine with
   | Reference ->
-      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-        ?max_steps ?deadline ?trace image
+      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ?max_steps
+        ?deadline ?trace image
   | Compiled ->
       let s =
-        Step.of_image ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
+        Step.of_image ?cache ~cache_cfg ?pipeline_cfg ?power_params
           ?max_steps ?deadline ?trace image
       in
       Cexec.run s;
       report ?trace ~pipe:s.Step.pipe ~cache:s.Step.cache ~dcache:s.Step.dcache
         ~account:s.Step.account s.Step.st
 
-let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~output
+let replay ?pipeline_cfg ?power_params ~cache_cfg ~output
     (image : Pf_arm.Image.t) trace =
   let s =
-    Trace.replay ?pipeline_cfg ?power_params ?classify
+    Trace.replay ?pipeline_cfg ?power_params
       ~seq:
         ( Pipeline.seq_toggle_prefix ~words:image.Pf_arm.Image.words,
           image.Pf_arm.Image.code_base lsr 2 )

@@ -36,15 +36,14 @@ val run :
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->
   Pf_arm.Image.t ->
   result
 (** Default cache: 16 KB, 32-byte blocks, 32-way (the SA-1100 I-cache).
-    [cache] substitutes a pre-built I-cache instance (e.g. one created
-    with [~classify:true] for miss-class inspection); otherwise a fresh
+    [cache] substitutes a pre-built I-cache instance (so the caller can
+    read its toggle and refill counters afterwards); otherwise a fresh
     one is built from [cache_cfg].
     [deadline] is the wall-clock watchdog, polled inside the execute loop.
     [trace] (created with [isize:4]) additionally records every retired
@@ -54,7 +53,6 @@ val run :
 val replay :
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   cache_cfg:Pf_cache.Icache.config ->
   output:string ->
   Pf_arm.Image.t ->

@@ -77,15 +77,15 @@ let undef_fault t pc (u : Px.uop) =
 let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
 let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
-    ?power_params ?(classify = false) ?(max_steps = 500_000_000) ?deadline
-    ?trace ?src ~isize ~code_base ~words ~entry ~uops st =
+    ?power_params ?(max_steps = 500_000_000) ?deadline ?trace ?src ~isize
+    ~code_base ~words ~entry ~uops st =
   if isize <> 2 && isize <> 4 then
     Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cpu.step"
       "isize must be 2 (FITS) or 4 (ARM), got %d" isize;
   let cache =
     match cache with
     | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
+    | None -> Pf_cache.Icache.create cache_cfg
   in
   let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
@@ -133,11 +133,11 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     src_one = 0;
   }
 
-let of_image ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
-    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
+let of_image ?cache ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
+    ?deadline ?trace (image : Pf_arm.Image.t) =
   let p = Px.compile image in
-  create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify ?max_steps
-    ?deadline ?trace ~isize:4 ~code_base:p.Px.code_base
+  create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
+    ?trace ~isize:4 ~code_base:p.Px.code_base
     ~words:image.Pf_arm.Image.words ~entry:p.Px.entry ~uops:p.Px.uops
     (Pf_arm.Exec.create image)
 

@@ -67,7 +67,6 @@ val create :
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->
@@ -96,7 +95,6 @@ val of_image :
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->

@@ -219,12 +219,12 @@ type stats = {
 (* the SA-1100's 8 KB data cache, identical in all four configurations *)
 let dcache_cfg = Pf_cache.Icache.config ~size_bytes:(8 * 1024) ()
 
-let replay ?pipeline_cfg ?power_params ?(classify = false) ?cache ?seq
-    ~cache_cfg ~fetch_data t =
+let replay ?pipeline_cfg ?power_params ?cache ?seq ~cache_cfg ~fetch_data
+    t =
   let cache =
     match cache with
     | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
+    | None -> Pf_cache.Icache.create cache_cfg
   in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
   let account = Pf_power.Account.create ?params:power_params geometry in

@@ -148,7 +148,6 @@ val dcache_cfg : Pf_cache.Icache.config
 val replay :
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?cache:Pf_cache.Icache.t ->
   ?seq:int array * int ->
   cache_cfg:Pf_cache.Icache.config ->

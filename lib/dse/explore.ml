@@ -137,14 +137,14 @@ let metrics_of_stats cfg ~instructions (s : Pf_cpu.Trace.stats) =
   }
 
 let arm_sweep_1pass ~image ~geometries trace =
-  let r =
+  let stats =
     Sweep.run ~params_of:params_for ~geometries
       ~fetch_data:(fun addr -> Pf_arm.Image.word_at image addr)
       trace
   in
   List.mapi
     (fun i g ->
-      let s = r.Sweep.stats.(i) in
+      let s = stats.(i) in
       {
         variant = Arm;
         geometry = g;
@@ -157,7 +157,7 @@ let fits_sweep_1pass ~dict_budget ~(like : Pf_fits.Run.result) ~geometries
     (tr : Pf_fits.Translate.t) trace =
   let code_base = tr.Pf_fits.Translate.code_base in
   let words = tr.Pf_fits.Translate.words in
-  let r =
+  let stats =
     Sweep.run ~params_of:params_for ~geometries
       ~fetch_data:(fun addr -> words.((addr - code_base) lsr 2))
       trace
@@ -170,7 +170,7 @@ let fits_sweep_1pass ~dict_budget ~(like : Pf_fits.Run.result) ~geometries
         metrics =
           metrics_of_stats g
             ~instructions:like.Pf_fits.Run.arm_instructions
-            r.Sweep.stats.(i);
+            stats.(i);
       })
     geometries
 
@@ -306,14 +306,11 @@ let run_benchmark ?scale ?max_steps ?deadline ?engine ?recording ~geometries
 let default_wall_clock_s = 600.
 
 let run ?(scale = 1) ?max_steps ?(wall_clock_s = default_wall_clock_s) ?jobs
-    ?engine ?(benchmarks = Pf_mibench.Registry.all) space =
+    ?(engine = Space.Sweep) ?(benchmarks = Pf_mibench.Registry.all) space =
   Space.validate space;
   let geometries = Space.geometries space in
   let dict_budgets = space.Space.dict_budgets in
   let variants = Arm :: List.map (fun b -> Fits b) dict_budgets in
-  let engine =
-    match engine with Some e -> e | None -> Space.choose_engine space
-  in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in

@@ -1,15 +1,14 @@
-(** Evaluate a {!Space} over the benchmark suite via trace replay or the
-    single-pass sweep kernel.
+(** Evaluate a {!Space} over the benchmark suite via the single-pass
+    sweep kernel, with trace replay as its oracle.
 
     Each benchmark executes {e once per ISA variant} at the fixed
     {!Space.recording_point}, recording the retired stream; every grid
-    geometry is then evaluated from that recording, either by a cheap
-    {!Pf_cpu.Trace} replay per geometry (2 executions + 2·N replays per
-    benchmark on the default variant axis, never 2 + 2·N executions) or —
-    for dense grids — by ONE {!Sweep} pass per trace that measures all
-    geometries simultaneously with bit-identical results.  The engine is
-    chosen per space ({!Space.choose_engine}) unless forced via
-    [?engine].  Per-point power uses
+    geometry is then evaluated from that recording, by ONE {!Sweep} pass
+    per trace that measures all geometries simultaneously (2 executions +
+    2 passes per benchmark on the default variant axis) or, when
+    [?engine] is [Replay], by a {!Pf_cpu.Trace} replay per geometry
+    (2 executions + 2·N replays) — bit-identical results either way,
+    never 2 + 2·N executions.  Per-point power uses
     {!Pf_power.Account.Params.for_geometry}, so coefficients scale
     analytically with the read width while both paper geometries see the
     calibrated defaults unchanged — the ARM16/ARM8/FITS16/FITS8 grid
@@ -95,9 +94,9 @@ val run :
   Space.t ->
   t
 (** Explore the space over [benchmarks] (default: the full 21-benchmark
-    suite) with [jobs] worker domains.  [engine] forces the evaluation
-    engine; by default {!Space.choose_engine} picks per space (replay
-    for sparse grids, single-pass sweep for dense ones) — results are
+    suite) with [jobs] worker domains.  [engine] (default [Sweep])
+    selects the evaluation engine; [Replay] is the oracle
+    [powerfits explore --cross-check] runs, and results are
     bit-identical either way.  A failing benchmark is isolated into its
     row ([Error]); it never aborts the sweep. *)
 

@@ -124,11 +124,6 @@ type engine = Replay | Sweep
 
 let engine_label = function Replay -> "replay" | Sweep -> "sweep"
 
-let engine_of_string = function
-  | "replay" -> Ok Replay
-  | "sweep" -> Ok Sweep
-  | s -> Error (Printf.sprintf "unknown engine %S (expected replay or sweep)" s)
-
 (* Distinct (block size, set count) pairs across the feasible geometries:
    the single-pass kernel maintains one stack-distance profile per pair,
    and its per-trace cost is O(events * profiles) against replay's
@@ -139,22 +134,10 @@ let profiles t =
          (c.Pf_cache.Icache.block_bytes, Pf_cache.Icache.sets c))
   |> List.sort_uniq compare |> List.length
 
-(* The sweep engine pays a constant factor per profile for its stack
-   bookkeeping, so it only wins once geometries meaningfully outnumber
-   profiles (i.e. the grid has several associativities per (block, sets)
-   pair).  The threshold deliberately leaves the small named grids
-   (smoke: 6 geometries / 6 profiles, full: 36 / 20) on the replay
-   engine: their published benchmark baselines stay comparable, and the
-   replay path keeps exercising its role as the differential oracle. *)
-let choose_engine t =
-  let c = cardinality t in
-  if c.feasible >= 2 * profiles t then Sweep else Replay
-
 type cost = {
   executions : int;
   replays : int;
   points_total : int;
-  engine : engine;
   profiles : int;
   sweep_passes : int;
 }
@@ -165,7 +148,6 @@ let cost ~benchmarks t =
     executions = benchmarks * c.variants;
     replays = benchmarks * c.variants * c.feasible;
     points_total = benchmarks * c.points;
-    engine = choose_engine t;
     profiles = profiles t;
     sweep_passes = benchmarks * c.variants;
   }
@@ -317,22 +299,11 @@ let describe ~benchmarks t =
          (function None -> "none" | Some b -> string_of_int b)
          t.dict_budgets)
   in
-  let work =
-    match co.engine with
-    | Replay -> Printf.sprintf "%d trace replays" co.replays
-    | Sweep ->
-        (* one annotated pass per recorded trace covers every geometry;
-           quoting N replays here would overstate dense-grid cost by the
-           geometries/profiles ratio *)
-        Printf.sprintf
-          "%d single-pass sweeps over %d stack profiles (replay engine \
-           would need %d replays)"
-          co.sweep_passes co.profiles co.replays
-  in
   Printf.sprintf
     "sizes={%s} blocks={%s} assocs={%s} dicts={%s}: %d geometries (%d \
      infeasible corners skipped) x %d ISA variants x %d benchmarks -> %d \
-     executions + %s [engine: %s], %d points"
+     executions + %d single-pass sweeps over %d stack profiles (replay \
+     engine would need %d replays) [engine: %s], %d points"
     (axis t.sizes) (axis t.blocks) (axis t.assocs) budgets c.feasible
-    c.skipped c.variants benchmarks co.executions work
-    (engine_label co.engine) co.points_total
+    c.skipped c.variants benchmarks co.executions co.sweep_passes
+    co.profiles co.replays (engine_label Sweep) co.points_total

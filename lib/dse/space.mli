@@ -69,27 +69,17 @@ type engine = Replay | Sweep
 val engine_label : engine -> string
 (** ["replay"] / ["sweep"]. *)
 
-val engine_of_string : string -> (engine, string) result
-(** Parse an [--engine] argument. *)
-
 val profiles : t -> int
 (** Distinct (block size, set count) pairs among the feasible
     geometries — the number of Mattson stack-distance profiles one sweep
     pass maintains.  Sweep cost scales with this, replay cost with
     {!cardinality.feasible}. *)
 
-val choose_engine : t -> engine
-(** [Sweep] when the grid is dense enough to pay off (feasible
-    geometries at least twice the profile count), [Replay] otherwise.
-    The named [smoke] and [full] grids choose [Replay]; [dense] chooses
-    [Sweep]. *)
-
 type cost = {
   executions : int;   (** recording runs: benchmarks × variants *)
   replays : int;      (** trace replays the [Replay] engine would do:
                           executions × geometries *)
   points_total : int; (** evaluated (benchmark, variant, geometry) points *)
-  engine : engine;    (** {!choose_engine} for this space *)
   profiles : int;     (** stack profiles per sweep pass ({!profiles}) *)
   sweep_passes : int; (** annotated passes the [Sweep] engine would do:
                           one per recorded trace = [executions] *)
@@ -97,11 +87,10 @@ type cost = {
 
 val cost : benchmarks:int -> t -> cost
 (** What {!Explore.run} will do for a [benchmarks]-program suite: each
-    benchmark executes once per ISA variant (recording a trace); the
-    trace is then either replayed once per geometry (replay engine:
-    2 executions + 2·N replays per benchmark on the default variant
-    axis) or swept once covering all geometries at once (sweep engine:
-    2 executions + 2 passes per benchmark). *)
+    benchmark executes once per ISA variant (recording a trace), and each
+    trace is swept once covering all geometries at once (2 executions +
+    2 passes per benchmark on the default variant axis).  [replays] is
+    what the replay oracle would need instead: 2·N per benchmark. *)
 
 (** {2 Named points and grids} *)
 
@@ -135,7 +124,7 @@ val dense : t
 (** The full-resolution grid: every power-of-two size 64 B – 8 MB ×
     blocks 4–256 B × ways 1–1024 — 1058 feasible geometries (of 1386
     corners), including both paper points.  Sized for the single-pass
-    sweep engine; see {!choose_engine}. *)
+    sweep engine. *)
 
 val of_string : string -> (t, string) result
 (** Parse a [--grid] argument: ["smoke"], ["full"], ["dense"], or a spec
@@ -151,4 +140,4 @@ val label : Pf_cache.Icache.config -> string
 
 val describe : benchmarks:int -> t -> string
 (** One-line pre-launch summary: axes, feasible/skipped counts, variants,
-    and the execution/replay cost for a [benchmarks]-program run. *)
+    and the execution/sweep cost for a [benchmarks]-program run. *)

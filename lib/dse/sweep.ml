@@ -87,13 +87,6 @@ let where = "dse.sweep"
    chunks that each re-run the (cheap) stack search. *)
 let max_lanes = 62
 
-type miss_classes = { compulsory : int; capacity : int; conflict : int }
-
-type result = {
-  stats : Pf_cpu.Trace.stats array;
-  classes : miss_classes array option;
-}
-
 (* One (block_shift, nsets) stack-distance profile covering <= max_lanes
    geometries (lanes), sorted by ascending associativity so that the
    lanes hitting at stack position [pos] are a suffix of the lane set. *)
@@ -111,55 +104,7 @@ type profile = {
   mutable last_idx : int;  (* set-index toggle baseline (starts 0) *)
   mutable w_idx_tog : int; (* window index toggles *)
   mutable idx_tog_tot : int;
-  shift_id : int;          (* index into the classify-mode shadows *)
 }
-
-(* Classify mode: shared per block size.  [seen] is the set of blocks
-   ever fetched (a first touch misses at every lane: all caches start
-   cold).  The fully-associative recency list gives the FA stack
-   distance d; a missing lane's shadow cache of capacity C (its line
-   count) contains the block iff d < C, reproducing [classify_miss]'s
-   compulsory / conflict / capacity decision and its ordering (classify
-   first, touch after, touch on hits too). *)
-type fa_node = { mutable prev : fa_node; mutable next : fa_node }
-
-type shadow = {
-  shift : int;
-  seen : (int, unit) Hashtbl.t;
-  fa : (int, fa_node) Hashtbl.t;
-  head : fa_node;          (* sentinel; head.next = MRU *)
-  mutable cur_first : bool;
-  mutable cur_dfa : int;   (* FA stack distance of the current fetch *)
-}
-
-let shadow_create shift =
-  let rec s = { prev = s; next = s } in
-  { shift; seen = Hashtbl.create 256; fa = Hashtbl.create 256; head = s;
-    cur_first = false; cur_dfa = max_int }
-
-let fa_distance sh node =
-  let d = ref 0 in
-  let n = ref sh.head.next in
-  while !n != node do
-    incr d;
-    n := !n.next
-  done;
-  !d
-
-let fa_touch sh b =
-  match Hashtbl.find_opt sh.fa b with
-  | Some n ->
-      n.prev.next <- n.next;
-      n.next.prev <- n.prev;
-      n.next <- sh.head.next;
-      n.prev <- sh.head;
-      sh.head.next.prev <- n;
-      sh.head.next <- n
-  | None ->
-      let n = { prev = sh.head; next = sh.head.next } in
-      Hashtbl.replace sh.fa b n;
-      sh.head.next.prev <- n;
-      sh.head.next <- n
 
 let pow2_ge n =
   let rec go p = if p >= n then p else go (p * 2) in
@@ -197,13 +142,11 @@ let[@inline] slices_get slices off nslices bit =
   done;
   !v
 
-let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
-    ?(params_of = fun (_ : Icache.config) -> Account.Params.default)
+let run ?(params_of = fun (_ : Icache.config) -> Account.Params.default)
     ~geometries ~fetch_data trace =
   let cfgs = Array.of_list geometries in
   let nl = Array.length cfgs in
-  if nl = 0 then
-    { stats = [||]; classes = (if classify then Some [||] else None) }
+  if nl = 0 then [||]
   else begin
     Array.iter Icache.validate cfgs;
     let geoms = Array.map Pf_power.Geometry.of_config cfgs in
@@ -227,13 +170,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
     in
     let lane_assoc = Array.map (fun c -> c.Icache.assoc) cfgs in
     let lane_bw = Array.map (fun c -> c.Icache.block_bytes / 4) cfgs in
-    let lane_lines =
-      Array.map (fun c -> c.Icache.size_bytes / c.Icache.block_bytes) cfgs
-    in
     let lane_prof = Array.make nl (-1) in
-    let comp = Array.make nl 0 in
-    let cap = Array.make nl 0 in
-    let conf = Array.make nl 0 in
     (* prepass: the code's word-address span bounds every profile's
        useful stack size *)
     let min_w = ref max_int and max_w = ref min_int in
@@ -250,19 +187,6 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
       let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
       Hashtbl.replace groups key (l :: prev)
     done;
-    let shifts = Hashtbl.create 8 in
-    let shadows = ref [] in
-    let nshadows = ref 0 in
-    let shift_id shift =
-      match Hashtbl.find_opt shifts shift with
-      | Some i -> i
-      | None ->
-          let i = !nshadows in
-          Hashtbl.replace shifts shift i;
-          shadows := shadow_create shift :: !shadows;
-          incr nshadows;
-          i
-    in
     let profs =
       Hashtbl.fold
         (fun (block_shift, nsets) ids acc ->
@@ -306,7 +230,6 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
                 last_idx = 0;
                 w_idx_tog = 0;
                 idx_tog_tot = 0;
-                shift_id = (if classify then shift_id block_shift else -1);
               }
               :: acc)
             acc (chunks max_lanes ids))
@@ -373,12 +296,6 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
     Array.blit pk_full 0 pk_hm 0 nw;
     let pk_slices = Array.make (nw * nslices) 0 in
     let pp_zero = ref true in
-    (* classify-mode scratch: the profiles of the current fetch with a
-       nonzero bucket (only those contribute misses to classify) *)
-    let chg_pi = Array.make (if classify then np else 1) 0 in
-    let chg_bidx = Array.make (if classify then np else 1) 0 in
-    let nchg = ref 0 in
-    let shadows = Array.of_list (List.rev !shadows) in
     (* dense lane order: profile-major positions so the window-close
        loop walks every per-lane array sequentially instead of
        scattering through geometry order.  [perm] maps dense position
@@ -438,7 +355,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
        exact [Account.window_power] comparison still decides. *)
     let lane_thr = Array.make nl neg_infinity in
     (* shared (geometry-invariant) state *)
-    let cfg = pipeline_cfg in
+    let cfg = Pf_cpu.Pipeline.sa1100 in
     let mp = cfg.Pf_cpu.Pipeline.miss_penalty in
     let dual = cfg.Pf_cpu.Pipeline.dual_issue in
     let fbuf = cfg.Pf_cpu.Pipeline.fetch_buffer in
@@ -569,7 +486,6 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
             !w_out_tog + Icache.output_toggle ~last_out:!last_out ~out:data;
           last_out := data;
           last_fetch := word;
-          if classify then nchg := 0;
           for g = 0 to ngrp - 1 do
             let b = word lsr Array.unsafe_get grp_shift g in
             if b <> Array.unsafe_get grp_prev g then begin
@@ -623,12 +539,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
                    Array.unsafe_set pk_hm w
                      (Array.unsafe_get pk_hm w
                       land lnot (Array.unsafe_get segF pi)
-                     lor (hm lsl Array.unsafe_get poA pi));
-                   if classify then begin
-                     chg_pi.(!nchg) <- pi;
-                     chg_bidx.(!nchg) <- bidx;
-                     incr nchg
-                   end
+                     lor (hm lsl Array.unsafe_get poA pi))
                  end
                  else
                    Array.unsafe_set pk_hm w
@@ -651,38 +562,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
                   (Array.unsafe_get pk_hm w lor Array.unsafe_get segF pi)
               done
             end
-          done;
-          if classify then begin
-            (* mirror [classify_miss]: decide classes against the
-               pre-touch shadow state, then touch (hits touch too) *)
-            for si = 0 to Array.length shadows - 1 do
-              let sh = shadows.(si) in
-              let b = word lsr sh.shift in
-              sh.cur_first <- not (Hashtbl.mem sh.seen b);
-              sh.cur_dfa <-
-                (match Hashtbl.find_opt sh.fa b with
-                | Some n -> fa_distance sh n
-                | None -> max_int)
-            done;
-            for ci = 0 to !nchg - 1 do
-              let p = profs.(chg_pi.(ci)) in
-              let bidx = chg_bidx.(ci) in
-              let sh = shadows.(p.shift_id) in
-              for li = 0 to bidx - 1 do
-                let l = p.lanes.(li) in
-                if sh.cur_first then comp.(l) <- comp.(l) + 1
-                else if sh.cur_dfa < lane_lines.(l) then
-                  conf.(l) <- conf.(l) + 1
-                else cap.(l) <- cap.(l) + 1
-              done
-            done;
-            for si = 0 to Array.length shadows - 1 do
-              let sh = shadows.(si) in
-              let b = word lsr sh.shift in
-              if sh.cur_first then Hashtbl.replace sh.seen b ();
-              fa_touch sh b
-            done
-          end
+          done
         end;
         let dm = Pf_cpu.Trace.meta_dmisses meta in
         w_dm := !w_dm + dm;
@@ -750,36 +630,25 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
     let f = !tot_acc in
     let n = Pf_cpu.Trace.length trace in
     let dpm = Pf_cpu.Trace.dcache_rate trace in
-    let stats =
-      Array.init nl (fun l ->
-          let i = dpos.(l) in
-          let m = lane_misses.(i) in
-          let cycles = lane_cycles.(i) in
-          {
-            Pf_cpu.Trace.instructions = n;
-            cycles;
-            fetch_accesses = f;
-            cache_accesses = f;
-            cache_misses = m;
-            miss_rate_per_million =
-              (if f = 0 then 0.0
-               else 1_000_000.0 *. float_of_int m /. float_of_int f);
-            dcache_miss_rate_pm = dpm;
-            power =
-              Account.report_of_counts ~params:params.(l) geoms.(l)
-                ~accesses:f
-                ~toggles:(!tot_out_tog + profs.(lane_prof.(l)).idx_tog_tot)
-                ~refill_words:(m * lane_bw.(l))
-                ~cycles ~peak:lane_peak.(i);
-          })
-    in
-    let classes =
-      if classify then
-        Some
-          (Array.init nl (fun l ->
-               { compulsory = comp.(l); capacity = cap.(l);
-                 conflict = conf.(l) }))
-      else None
-    in
-    { stats; classes }
+    Array.init nl (fun l ->
+        let i = dpos.(l) in
+        let m = lane_misses.(i) in
+        let cycles = lane_cycles.(i) in
+        {
+          Pf_cpu.Trace.instructions = n;
+          cycles;
+          fetch_accesses = f;
+          cache_accesses = f;
+          cache_misses = m;
+          miss_rate_per_million =
+            (if f = 0 then 0.0
+             else 1_000_000.0 *. float_of_int m /. float_of_int f);
+          dcache_miss_rate_pm = dpm;
+          power =
+            Account.report_of_counts ~params:params.(l) geoms.(l)
+              ~accesses:f
+              ~toggles:(!tot_out_tog + profs.(lane_prof.(l)).idx_tog_tot)
+              ~refill_words:(m * lane_bw.(l))
+              ~cycles ~peak:lane_peak.(i);
+        })
   end

@@ -27,39 +27,22 @@
     order of magnitude faster than per-geometry replay.  The replay
     path remains the differential-testing oracle. *)
 
-(** Miss classification of one geometry (lane), produced only when
-    [classify] is set: same definitions as the {!Pf_cache.Icache}
-    shadow-cache classifier (compulsory = first touch of the block;
-    conflict = resident in a fully-associative cache of equal capacity;
-    capacity = the rest). *)
-type miss_classes = { compulsory : int; capacity : int; conflict : int }
-
-type result = {
-  stats : Pf_cpu.Trace.stats array;
-      (** one per input geometry, in input order; each bit-identical to
-          [Trace.replay ~cache_cfg:geometry ...] of the same trace *)
-  classes : miss_classes array option;
-      (** [Some] iff [classify] was set; parallel to [stats] *)
-}
-
 val run :
-  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?classify:bool ->
   ?params_of:(Pf_cache.Icache.config -> Pf_power.Account.Params.t) ->
   geometries:Pf_cache.Icache.config list ->
   fetch_data:(int -> int) ->
   Pf_cpu.Trace.t ->
-  result
+  Pf_cpu.Trace.stats array
 (** Evaluate every geometry of [geometries] against the trace in one
-    pass.  [fetch_data] must be the recording run's word-at-address
-    function, exactly as for {!Pf_cpu.Trace.replay}.  [params_of] maps
-    each geometry to its power parameters (default: the same
-    [Account.Params.default] a bare replay uses; the explorer passes
-    [Account.Params.for_geometry]).  All parameter sets must agree on
-    [peak_window_insns] — peak windows must close at the same trace
-    index in every lane — otherwise a [Sim_error] of kind
-    [Invalid_config] is raised.  [classify] (default false) additionally
-    classifies every miss per lane; this engages a slower shared-shadow
-    path and is meant for differential tests, not hot sweeps.
-    Geometries are validated ({!Pf_cache.Icache.validate}); duplicates
-    are allowed and evaluated independently. *)
+    pass, on the {!Pf_cpu.Pipeline.sa1100} timing model, and return one
+    stats record per geometry in input order, each bit-identical to
+    [Trace.replay ~cache_cfg:geometry] of the same trace.  [fetch_data]
+    must be the recording run's word-at-address function, exactly as for
+    {!Pf_cpu.Trace.replay}.  [params_of] maps each geometry to its power
+    parameters (default: the same [Account.Params.default] a bare replay
+    uses; the explorer passes [Account.Params.for_geometry]).  All
+    parameter sets must agree on [peak_window_insns] — peak windows must
+    close at the same trace index in every lane — otherwise a
+    [Sim_error] of kind [Invalid_config] is raised.  Geometries are
+    validated ({!Pf_cache.Icache.validate}); duplicates are allowed and
+    evaluated independently. *)

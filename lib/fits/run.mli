@@ -40,7 +40,6 @@ val stepper :
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Pf_cpu.Trace.t ->
@@ -59,7 +58,6 @@ val run :
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?on_step:(Pf_arm.Exec.t -> steps:int -> unit) ->
@@ -80,7 +78,6 @@ val run :
 val replay :
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
-  ?classify:bool ->
   cache_cfg:Pf_cache.Icache.config ->
   like:result ->
   Translate.t ->

@@ -74,9 +74,8 @@ let of_fits (r : Pf_fits.Run.result) =
    cross-ISA consistency is still asserted against the FITS runs, and
    cross-ENGINE architectural identity is pinned by the engine
    differential tests. *)
-let run_benchmark ?(scale = 1) ?(classify = false)
-    ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps ?deadline
-    (b : Pf_mibench.Registry.benchmark) =
+let run_benchmark ?(scale = 1) ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps
+    ?deadline (b : Pf_mibench.Registry.benchmark) =
   let check () = Pf_util.Deadline.check ~where:"harness.experiment" deadline in
   let p = b.Pf_mibench.Registry.program ~scale in
   let image =
@@ -85,11 +84,11 @@ let run_benchmark ?(scale = 1) ?(classify = false)
   check ();
   let arm_trace = Pf_cpu.Trace.create ~isize:4 () in
   let arm16_r =
-    Pf_cpu.Arm_run.run ~engine ~cache_cfg:cache_16k ~classify ?max_steps
-      ?deadline ~trace:arm_trace image
+    Pf_cpu.Arm_run.run ~engine ~cache_cfg:cache_16k ?max_steps ?deadline
+      ~trace:arm_trace image
   in
   let arm8_r =
-    Pf_cpu.Arm_run.replay ~cache_cfg:cache_8k ~classify
+    Pf_cpu.Arm_run.replay ~cache_cfg:cache_8k
       ~output:arm16_r.Pf_cpu.Arm_run.output image arm_trace
   in
   check ();
@@ -104,12 +103,11 @@ let run_benchmark ?(scale = 1) ?(classify = false)
   let thumb = Pf_thumb.Translate.estimate image in
   let fits_trace = Pf_cpu.Trace.create ~isize:2 () in
   let fits16_r =
-    Pf_fits.Run.run ~engine ~cache_cfg:cache_16k
-      ~classify ?max_steps ?deadline ~trace:fits_trace tr
+    Pf_fits.Run.run ~engine ~cache_cfg:cache_16k ?max_steps ?deadline
+      ~trace:fits_trace tr
   in
   let fits8_r =
-    Pf_fits.Run.replay ~cache_cfg:cache_8k ~classify ~like:fits16_r tr
-      fits_trace
+    Pf_fits.Run.replay ~cache_cfg:cache_8k ~like:fits16_r tr fits_trace
   in
   let outputs_consistent =
     arm8_r.Pf_cpu.Arm_run.output = reference_output
@@ -159,14 +157,14 @@ let default_wall_clock_s = 600.
    delivers signals to the main domain only, so a wedged benchmark inside
    a worker domain would have hung the whole sweep. *)
 let run_isolated ?(scale = 1) ?max_steps
-    ?(wall_clock_s = default_wall_clock_s) ?classify ?engine
+    ?(wall_clock_s = default_wall_clock_s) ?engine
     (b : Pf_mibench.Registry.benchmark) =
   let t0 = Unix.gettimeofday () in
   let attempt scale =
     let deadline = Pf_util.Deadline.after ~seconds:wall_clock_s in
     Pf_util.Sim_error.protect
       ~where:("harness." ^ b.Pf_mibench.Registry.name)
-      (fun () -> run_benchmark ~scale ?max_steps ?classify ?engine ~deadline b)
+      (fun () -> run_benchmark ~scale ?max_steps ?engine ~deadline b)
   in
   let finish outcome retried =
     {
@@ -184,15 +182,14 @@ let run_isolated ?(scale = 1) ?max_steps
       finish (attempt (max 1 (scale / 2))) true
   | Error e -> finish (Error e) false
 
-let run_all ?scale ?max_steps ?wall_clock_s ?classify ?engine
+let run_all ?scale ?max_steps ?wall_clock_s ?engine
     ?(benchmarks = Pf_mibench.Registry.all) ?jobs () =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pf_util.Pool.default_jobs ()
   in
   let rows =
     Pf_util.Pool.map ~jobs
-      (fun b ->
-        run_isolated ?scale ?max_steps ?wall_clock_s ?classify ?engine b)
+      (fun b -> run_isolated ?scale ?max_steps ?wall_clock_s ?engine b)
       benchmarks
   in
   let completed, total =

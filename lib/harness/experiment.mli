@@ -51,7 +51,6 @@ val of_fits : Pf_fits.Run.result -> per_config
 
 val run_benchmark :
   ?scale:int ->
-  ?classify:bool ->
   ?engine:Pf_cpu.Arm_run.engine ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
@@ -105,7 +104,6 @@ val run_isolated :
   ?scale:int ->
   ?max_steps:int ->
   ?wall_clock_s:float ->
-  ?classify:bool ->
   ?engine:Pf_cpu.Arm_run.engine ->
   Pf_mibench.Registry.benchmark ->
   sweep_row
@@ -117,7 +115,6 @@ val run_all :
   ?scale:int ->
   ?max_steps:int ->
   ?wall_clock_s:float ->
-  ?classify:bool ->
   ?engine:Pf_cpu.Arm_run.engine ->
   ?benchmarks:Pf_mibench.Registry.benchmark list ->
   ?jobs:int ->

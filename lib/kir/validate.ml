@@ -92,11 +92,14 @@ let check (p : program) =
   List.iter check_func p.funcs;
   match !errors with [] -> Ok () | l -> Error (List.rev l)
 
+(* An ill-formed program is bad input (inline KIR reaches here from
+   serve clients and workgen alike), so it fails as a structured
+   Invalid_config listing every problem, never as a bare exception. *)
 let check_exn p =
   match check p with
   | Ok () -> ()
-  | Error ({ where; what } :: _) ->
-      invalid_arg (Printf.sprintf "KIR validation: %s: %s" where what)
-  | Error [] ->
-      Pf_util.Sim_error.raisef Pf_util.Sim_error.Internal
-        ~where:"kir.validate" "check returned Error []"
+  | Error errs ->
+      Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+        ~where:"kir.validate" "ill-formed program: %s"
+        (String.concat "; "
+           (List.map (fun { where; what } -> where ^ ": " ^ what) errs))

@@ -9,4 +9,5 @@ type error = { where : string; what : string }
 val check : Ast.program -> (unit, error list) result
 
 val check_exn : Ast.program -> unit
-(** @raise Invalid_argument with a readable message on the first error. *)
+(** Raises a [Pf_util.Sim_error] of kind [Invalid_config] (at
+    ["kir.validate"]) listing {e every} error {!check} finds. *)

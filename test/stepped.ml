@@ -4,8 +4,8 @@
 
 module AR = Pf_cpu.Arm_run
 
-let arm ?cache ?cache_cfg ?max_steps ?trace image =
-  let s = Pf_cpu.Step.of_image ?cache ?cache_cfg ?max_steps ?trace image in
+let arm ?cache_cfg ?max_steps ?trace image =
+  let s = Pf_cpu.Step.of_image ?cache_cfg ?max_steps ?trace image in
   while not (Pf_cpu.Step.halted s) do
     Pf_cpu.Step.step s
   done;
@@ -23,7 +23,7 @@ let arm ?cache ?cache_cfg ?max_steps ?trace image =
     power = r.Pf_cpu.Step.power;
   }
 
-let fits ?cache ?cache_cfg ?max_steps ?trace tr =
-  Pf_fits.Run.run ?cache ?cache_cfg ?max_steps ?trace
+let fits ?cache_cfg ?max_steps ?trace tr =
+  Pf_fits.Run.run ?cache_cfg ?max_steps ?trace
     ~on_step:(fun _ ~steps:_ -> ())
     tr

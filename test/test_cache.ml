@@ -84,26 +84,6 @@ let test_tag_flips () =
        false
      with Invalid_argument _ -> true)
 
-let test_classification () =
-  let t = C.create ~classify:true (cfg ~assoc:1 1024) in
-  touch t 0;
-  touch t 1024;
-  (* both compulsory *)
-  touch t 0;
-  (* 0 would HIT in a fully-associative cache of the same size: conflict *)
-  check_int "compulsory" 2 (C.stats_compulsory t);
-  check_int "conflict" 1 (C.stats_conflict t);
-  check_int "capacity" 0 (C.stats_capacity t);
-  (* stream more blocks than the cache holds: capacity misses appear *)
-  let t2 = C.create ~classify:true (cfg ~assoc:2 1024) in
-  for round = 1 to 2 do
-    ignore round;
-    for b = 0 to 63 do
-      touch t2 (b * 32)
-    done
-  done;
-  check_bool "capacity misses observed" true (C.stats_capacity t2 > 0)
-
 let test_activity_counters () =
   let t = C.create (cfg 1024) in
   ignore (C.access t ~addr:0 ~data:0xFF);
@@ -135,36 +115,6 @@ let test_reset_toggle_baseline () =
   let r2 = C.access t ~addr:0 ~data:0xFF in
   check_int "fresh baseline after reset: 8 again, not 0" 8 r2.C.toggles;
   check_int "accumulated counter restarted" 8 (C.output_toggles t)
-
-let test_shadow_lru_order () =
-  (* the intrusive doubly-linked shadow LRU must evict in recency order,
-     not insertion order.  Direct-mapped 1024 B / 32 B: 32 sets, shadow
-     capacity 32 blocks; block b maps to set (b mod 32). *)
-  let t = C.create ~classify:true (cfg ~assoc:1 1024) in
-  for b = 0 to 32 do
-    touch t (b * 32)
-  done;
-  (* 33 distinct blocks: all compulsory; shadow kept the 32 most recent
-     (1..32), evicting block 0 *)
-  check_int "all compulsory" 33 (C.stats_compulsory t);
-  touch t 0;
-  check_int "LRU-evicted block re-misses as capacity" 1 (C.stats_capacity t);
-  touch t (32 * 32);
-  (* block 32 lost its cache line to block 0 but is still recent in the
-     fully-associative shadow: a conflict miss *)
-  check_int "recent block re-misses as conflict" 1 (C.stats_conflict t);
-  (* a cache *hit* must refresh shadow recency: block 2 hits below, so the
-     next shadow evictions take blocks 3 and 4 — not 2 *)
-  touch t (2 * 32);
-  touch t (40 * 32);
-  touch t (35 * 32);
-  touch t (3 * 32);
-  (* block 3 was shadow-evicted (it was LRU once 2 refreshed): capacity *)
-  check_int "eviction follows recency, not insertion" 2 (C.stats_capacity t);
-  touch t (34 * 32);
-  touch t (2 * 32);
-  (* block 2 survived in the shadow thanks to the hit-refresh: conflict *)
-  check_int "hit-refreshed block survived in shadow" 2 (C.stats_conflict t)
 
 let test_invalid_configs () =
   (* degenerate geometries must fail at [config] with a structured
@@ -270,13 +220,10 @@ let tests =
       test_direct_mapped_conflict;
     Alcotest.test_case "single-set edge config" `Quick test_single_set;
     Alcotest.test_case "scheduled tag flips" `Quick test_tag_flips;
-    Alcotest.test_case "miss classification" `Quick test_classification;
     Alcotest.test_case "toggle/refill counters" `Quick test_activity_counters;
     Alcotest.test_case "miss rate and reset" `Quick test_miss_rate_and_reset;
     Alcotest.test_case "reset clears toggle baselines" `Quick
       test_reset_toggle_baseline;
-    Alcotest.test_case "shadow LRU eviction order" `Quick
-      test_shadow_lru_order;
     Alcotest.test_case "invalid configs rejected" `Quick test_invalid_configs;
     QCheck_alcotest.to_alcotest prop_misses_bounded;
     QCheck_alcotest.to_alcotest prop_bigger_cache_fewer_misses;

@@ -1,10 +1,10 @@
 (* Three-way engine differential: the per-instruction path ("pre": the
    [Pf_cpu.Step.step] loop alone, for FITS through a no-op [on_step]
    hook) AND the block-compiled engine must produce *bit-identical*
-   results to the reference interpreter — cycles, IPC, toggles (via power
-   switching energy), miss classification, power report and program
-   output — on every benchmark, for both the ARM and FITS streams and
-   both cache geometries.  16 KB runs execute all three directly; the
+   results to the reference interpreter — cycles, IPC, I-cache accesses
+   and misses, toggles (via power switching energy), power report and
+   program output — on every benchmark, for both the ARM and FITS
+   streams and both cache geometries.  16 KB runs execute all three directly; the
    8 KB data points replay each row's own recorded trace (the harness's
    own structure), so a divergence in anything the trace captures —
    including the compiled engine's block-granular recording — shows up
@@ -101,46 +101,6 @@ let test_benchmark (b : R.benchmark) () =
   check_fits (name ^ "/fits/8k/pre") ~oracle:"reference" f_ref8 f_pre8;
   check_fits (name ^ "/fits/8k/cmp") ~oracle:"reference" f_ref8 f_cmp8
 
-(* Miss classification goes through the shadow-LRU path that the plain
-   runs skip: compare compulsory/capacity/conflict on a subset, for all
-   three paths. *)
-let test_classification () =
-  let subset = List.filteri (fun i _ -> i mod 7 = 0) R.all in
-  List.iter
-    (fun (b : R.benchmark) ->
-      let image, tr = translate_benchmark b in
-      let classes run =
-        let cache = C.create ~classify:true cache_16k in
-        run ~cache;
-        (C.stats_compulsory cache, C.stats_capacity cache,
-         C.stats_conflict cache)
-      in
-      let arm engine ~cache =
-        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image)
-      in
-      let fits engine ~cache =
-        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr)
-      in
-      let ref_c = classes (arm AR.Reference) in
-      Alcotest.(check (triple int int int))
-        (b.R.name ^ ": arm miss classes pre")
-        ref_c
-        (classes (fun ~cache ->
-             ignore (Stepped.arm ~cache ~cache_cfg:cache_16k image)));
-      Alcotest.(check (triple int int int))
-        (b.R.name ^ ": arm miss classes cmp")
-        ref_c (classes (arm AR.Compiled));
-      let fref_c = classes (fits FR.Reference) in
-      Alcotest.(check (triple int int int))
-        (b.R.name ^ ": fits miss classes pre")
-        fref_c
-        (classes (fun ~cache ->
-             ignore (Stepped.fits ~cache ~cache_cfg:cache_16k tr)));
-      Alcotest.(check (triple int int int))
-        (b.R.name ^ ": fits miss classes cmp")
-        fref_c (classes (fits FR.Compiled)))
-    subset
-
 let tests =
   List.map
     (fun (b : R.benchmark) ->
@@ -148,5 +108,3 @@ let tests =
         ("ref=pre=cmp: " ^ b.R.name)
         `Quick (test_benchmark b))
     R.all
-  @ [ Alcotest.test_case "miss classification ref=pre=cmp" `Quick
-        test_classification ]

@@ -290,19 +290,19 @@ let prop_replay_equals_direct =
   QCheck.Test.make
     ~name:
       "replaying a recorded trace at geometry G is bit-identical to direct \
-       execution at G (cycles, toggles, miss classes, power)"
+       execution at G (cycles, toggles, power)"
     ~count:12 geometry_arb
     (fun g ->
       let image, trace, recorded = Lazy.force replay_setup in
       let params =
         Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
       in
-      let direct_cache = C.create ~classify:true g in
+      let direct_cache = C.create g in
       let direct =
         Pf_cpu.Arm_run.run ~cache:direct_cache ~cache_cfg:g
           ~power_params:params image
       in
-      let replay_cache = C.create ~classify:true g in
+      let replay_cache = C.create g in
       let replayed =
         Pf_cpu.Trace.replay ~power_params:params ~cache:replay_cache
           ~cache_cfg:g
@@ -322,9 +322,6 @@ let prop_replay_equals_direct =
       && C.output_toggles direct_cache = C.output_toggles replay_cache
       && C.addr_toggles direct_cache = C.addr_toggles replay_cache
       && C.refill_words direct_cache = C.refill_words replay_cache
-      && C.stats_compulsory direct_cache = C.stats_compulsory replay_cache
-      && C.stats_capacity direct_cache = C.stats_capacity replay_cache
-      && C.stats_conflict direct_cache = C.stats_conflict replay_cache
       && direct.Pf_cpu.Arm_run.output = recorded.Pf_cpu.Arm_run.output)
 
 (* ---- single-pass sweep == per-geometry replay --------------------------- *)
@@ -337,20 +334,15 @@ let sweep_matches_replay gs =
   let params_of g =
     Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
   in
-  let sw =
-    Pf_dse.Sweep.run ~classify:true ~params_of ~geometries:gs ~fetch_data
-      trace
-  in
-  let classes = Option.get sw.Pf_dse.Sweep.classes in
+  let sw = Pf_dse.Sweep.run ~params_of ~geometries:gs ~fetch_data trace in
   List.for_all
     (fun (i, g) ->
-      let cache = C.create ~classify:true g in
+      let cache = C.create g in
       let st =
         Pf_cpu.Trace.replay ~power_params:(params_of g) ~cache ~cache_cfg:g
           ~fetch_data trace
       in
-      let sv = sw.Pf_dse.Sweep.stats.(i) in
-      let cl = classes.(i) in
+      let sv = sw.(i) in
       let p = params_of g in
       (* the trace stats record, bit-for-bit (floats compared as bits) *)
       st.Pf_cpu.Trace.instructions = sv.Pf_cpu.Trace.instructions
@@ -381,18 +373,14 @@ let sweep_matches_replay gs =
              (Pf_power.Account.switching_energy p
                 ~accesses:(C.stats_accesses cache)
                 ~toggles:(C.output_toggles cache + C.addr_toggles cache)
-                ~refill_words:(C.refill_words cache))
-      (* miss classification against the shadow cache *)
-      && C.stats_compulsory cache = cl.Pf_dse.Sweep.compulsory
-      && C.stats_capacity cache = cl.Pf_dse.Sweep.capacity
-      && C.stats_conflict cache = cl.Pf_dse.Sweep.conflict)
+                ~refill_words:(C.refill_words cache)))
     (List.mapi (fun i g -> (i, g)) gs)
 
 let prop_sweep_equals_replay =
   QCheck.Test.make
     ~name:
       "single-pass all-geometry sweep is bit-identical to per-geometry \
-       replay (counts, miss classes, toggles, energy, peak)"
+       replay (counts, toggles, energy, peak)"
     ~count:8
     (QCheck.make
        ~print:(fun gs -> String.concat " " (List.map Space.label gs))
@@ -412,22 +400,10 @@ let test_space_engines () =
     (List.mem Space.cache_8k geoms);
   check_bool "dense parses by name" true
     (Space.of_string "dense" = Ok Space.dense);
-  check_bool "dense grid picks the sweep engine" true
-    (Space.choose_engine Space.dense = Space.Sweep);
-  check_bool "smoke grid stays on replay" true
-    (Space.choose_engine Space.smoke = Space.Replay);
-  check_bool "full grid stays on replay" true
-    (Space.choose_engine Space.full = Space.Replay);
   let co = Space.cost ~benchmarks:21 Space.dense in
   check_int "one sweep pass per recorded trace" (21 * 2) co.Space.sweep_passes;
-  check_bool "cost reports the auto engine" true (co.Space.engine = Space.Sweep);
   check_bool "profiles well under geometries" true
-    (2 * co.Space.profiles <= dense.Space.feasible);
-  check_bool "engine round-trips through labels" true
-    (Space.engine_of_string (Space.engine_label Space.Sweep) = Ok Space.Sweep
-    && Space.engine_of_string (Space.engine_label Space.Replay)
-       = Ok Space.Replay
-    && Result.is_error (Space.engine_of_string "bogus"))
+    (2 * co.Space.profiles <= dense.Space.feasible)
 
 let tests =
   [

@@ -49,15 +49,13 @@ let test_validator_catches () =
          { g with Ast.length = 2 } ]
        [ func "main" [] [ ret0 ] ])
 
+(* a duplicate global, a missing main and a stray break *)
+let multi_error_program =
+  program [ garray "g" W32 1; garray "g" W8 1 ] [ func "f" [] [ break_ ] ]
+
 let test_validator_accumulates () =
-  (* one pass reports every problem, not just the first: a duplicate
-     global, a missing main, and a stray break all surface together *)
-  let p =
-    program
-      [ garray "g" W32 1; garray "g" W8 1 ]
-      [ func "f" [] [ break_ ] ]
-  in
-  match Validate.check p with
+  (* one pass reports every problem, not just the first *)
+  match Validate.check multi_error_program with
   | Ok () -> Alcotest.fail "expected validation errors"
   | Error errs ->
       Alcotest.(check bool) "accumulates multiple errors" true
@@ -67,6 +65,31 @@ let test_validator_accumulates () =
           Alcotest.(check bool) "each error is located" true
             (String.length e.Validate.where > 0
             && String.length e.Validate.what > 0))
+        errs
+
+let test_validator_check_exn () =
+  (* ill-formed KIR is bad input, not a simulator bug: check_exn fails
+     as a structured Invalid_config naming every problem check found *)
+  let errs =
+    match Validate.check multi_error_program with
+    | Error errs -> errs
+    | Ok () -> Alcotest.fail "expected validation errors"
+  in
+  match Validate.check_exn multi_error_program with
+  | () -> Alcotest.fail "check_exn accepted an ill-formed program"
+  | exception Pf_util.Sim_error.Error e ->
+      Alcotest.(check bool) "kind Invalid_config" true
+        (e.Pf_util.Sim_error.kind = Pf_util.Sim_error.Invalid_config);
+      Alcotest.(check string) "where" "kir.validate" e.Pf_util.Sim_error.where;
+      List.iter
+        (fun (err : Validate.error) ->
+          let sub = err.Validate.where ^ ": " ^ err.Validate.what in
+          let d = e.Pf_util.Sim_error.detail in
+          let n = String.length sub in
+          let rec has i =
+            i + n <= String.length d && (String.sub d i n = sub || has (i + 1))
+          in
+          Alcotest.(check bool) ("detail lists " ^ sub) true (has 0))
         errs
 
 let test_validator_accepts () =
@@ -267,4 +290,6 @@ let tests =
     Alcotest.test_case "unroll: loop census" `Quick test_count_loops;
     Alcotest.test_case "unroll: factor 1 identity" `Quick test_unroll_identity;
     Alcotest.test_case "builder shapes" `Quick test_builder_shapes;
+    Alcotest.test_case "validator: check_exn raises Invalid_config" `Quick
+      test_validator_check_exn;
   ]

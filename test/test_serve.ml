@@ -681,6 +681,26 @@ let test_daemon_error_isolation () =
       | Proto.Ok_reply _ -> ()
       | _ -> Alcotest.fail "daemon should survive bad requests")
 
+let test_daemon_ill_formed_inline () =
+  (* crc32 shipped inline without its globals fails KIR validation: the
+     client must get a structured invalid-config reply (its request is
+     wrong), not an internal error, and the daemon keeps serving *)
+  let crc32 =
+    (Pf_mibench.Registry.find_exn "crc32").Pf_mibench.Registry.program ~scale:1
+  in
+  let broken = { crc32 with Pf_kir.Ast.globals = [] } in
+  with_daemon (fun sock ->
+      (match
+         Pf_serve.Client.request ~socket:sock
+           { Proto.default_request with Proto.program = Proto.Inline broken }
+       with
+      | Proto.Error_reply e ->
+          check_bool "invalid-config kind" true (e.SE.kind = SE.Invalid_config)
+      | _ -> Alcotest.fail "expected an error reply");
+      match Pf_serve.Client.request ~socket:sock Proto.default_request with
+      | Proto.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "daemon should survive an ill-formed program")
+
 let test_daemon_backpressure () =
   (* one worker, queue of one, six slow requests at once: at least one
      must be refused with a structured overloaded reply, none may error *)
@@ -836,4 +856,6 @@ let tests =
     Alcotest.test_case "daemon: loadgen run" `Slow test_loadgen_against_daemon;
     Alcotest.test_case "service: trace sharing across geometries" `Quick
       test_trace_sharing;
+    Alcotest.test_case "daemon: ill-formed inline program" `Slow
+      test_daemon_ill_formed_inline;
   ]

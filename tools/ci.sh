@@ -1,7 +1,8 @@
 #!/bin/sh
 # One-command CI gate: lint, build, full test suite, then end-to-end
-# smokes of the engines, explore, serve, population and mc, of the
-# perfbench workloads' oracles and of the bench/probe.exe views.
+# smokes of the engines, of structured CLI errors, of explore (each
+# sweep checked against its replay oracle), serve, population and mc, of
+# the perfbench workloads' oracles and of the bench/probe.exe views.
 #
 #   ./tools/ci.sh
 #
@@ -34,16 +35,33 @@ cmp -s "$ENG_DIR/reference.out" "$ENG_DIR/compiled.out" || {
   echo "ci: compiled engine diverges from reference"; exit 1; }
 rm -rf "$ENG_DIR"
 
-echo "== explore smoke grid =="
+echo "== negative smoke: bad input is a structured error =="
+# --scale 0 is bad input: the CLI must refuse it as a structured
+# invalid-config error with a non-zero exit, never die on an escaped
+# exception ("Fatal error").
+NEG_OUT=$(mktemp)
+if dune exec bin/powerfits.exe -- run crc32 --scale 0 >"$NEG_OUT" 2>&1; then
+  echo "ci: run --scale 0 exited 0"; cat "$NEG_OUT"; exit 1
+fi
+grep -q "invalid-config" "$NEG_OUT" || {
+  echo "ci: run --scale 0 did not report invalid-config"; cat "$NEG_OUT"; exit 1; }
+if grep -q "Fatal error" "$NEG_OUT"; then
+  echo "ci: run --scale 0 escaped as an exception"; cat "$NEG_OUT"; exit 1
+fi
+rm -f "$NEG_OUT"
+
+echo "== explore smoke grid: sweep engine vs replay oracle =="
+# explore always evaluates with the single-pass sweep engine.  The smoke
+# grid holds both paper points, so --cross-check re-evaluates them with
+# the replay engine and exits 5 unless every shared point is
+# bit-identical.
 dune exec bin/powerfits.exe -- explore --grid smoke --benchmarks crc32,sha \
-  --jobs 2
+  --cross-check --jobs 2
 
 echo "== explore dense grid: sweep engine vs replay oracle =="
-# The dense grid (1058 geometries) picks the single-pass sweep engine;
-# --cross-check re-evaluates the paper-point geometries with the replay
-# engine and exits 5 unless every shared point is bit-identical.
+# The same oracle check on the 1058-geometry dense grid.
 dune exec bin/powerfits.exe -- explore --grid dense --benchmarks crc32,sha \
-  --engine sweep --cross-check --jobs 2
+  --cross-check --jobs 2
 
 echo "== serve smoke: crash recovery =="
 # Start a daemon armed to die (exit 42) mid-write on its second store
