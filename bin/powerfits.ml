@@ -71,19 +71,28 @@ let resolve_bench_selection ~cmd positional benchmarks =
         cmd;
       exit 2
 
-(* --scale below 1 builds degenerate programs (crc32 at scale 0 declares
-   a zero-length data array); reject it once, here, as a structured
-   Invalid_config like a malformed --jobs, before any subcommand runs *)
+(* Count flags below 1 are bad input: --scale 0 builds degenerate
+   programs (crc32 at scale 0 declares a zero-length data array), a
+   negative --max-steps surfaces as a watchdog timeout, --seeds 0 or
+   --trials 0 "pass" with nothing run.  Every count flag goes through
+   this one term, which rejects such a value as a structured
+   Invalid_config like a malformed --jobs, before any subcommand runs. *)
+let at_least_one flag_name n =
+  if n < 1 then
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cli"
+      "--%s must be >= 1 (got %d)" flag_name n;
+  n
+
+let count_arg flag_name ~default ~doc =
+  Term.(const (at_least_one flag_name)
+        $ Arg.(value & opt int default & info [ flag_name ] ~docv:"N" ~doc))
+
+let count_opt_arg flag_name ~doc =
+  Term.(const (Option.map (at_least_one flag_name))
+        $ Arg.(value & opt (some int) None & info [ flag_name ] ~docv:"N" ~doc))
+
 let scale_arg =
-  let resolve_scale s =
-    if s < 1 then
-      Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cli"
-        "scale must be >= 1 (got %d)" s;
-    s
-  in
-  Term.(const resolve_scale
-        $ Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N"
-                 ~doc:"Input-size multiplier (default 1)."))
+  count_arg "scale" ~default:1 ~doc:"Input-size multiplier (default 1)."
 
 let jobs_arg =
   Arg.(value & opt (some int) None
@@ -188,10 +197,9 @@ let config_arg =
            ~doc:"Processor configuration: arm16, arm8, fits16 or fits8.")
 
 let max_steps_arg =
-  Arg.(value & opt (some int) None
-       & info [ "max-steps" ] ~docv:"N"
-           ~doc:"Step-budget watchdog; exceeding it fails with a structured \
-                 timeout (exit code 4).")
+  count_opt_arg "max-steps"
+    ~doc:"Step-budget watchdog; exceeding it fails with a structured \
+          timeout (exit code 4)."
 
 (* Execution-engine selector shared by `run` and `figures`: it picks how
    an instruction stream is *executed*, not how `explore` evaluates cache
@@ -370,8 +378,7 @@ let inject_cmd =
              ~doc:"Campaign RNG seed; same seed replays the same flips.")
   in
   let trials_arg =
-    Arg.(value & opt int 20
-         & info [ "trials" ] ~docv:"N" ~doc:"Injection runs (default 20).")
+    count_arg "trials" ~default:20 ~doc:"Injection runs (default 20)."
   in
   let parity_arg =
     Arg.(value & flag
@@ -928,10 +935,9 @@ let serve_cmd =
                    it every request recomputes.")
   in
   let queue_cap_arg =
-    Arg.(value & opt int 64
-         & info [ "queue-cap" ] ~docv:"N"
-             ~doc:"Admission-queue bound; requests beyond it get a \
-                   structured `overloaded' reply (backpressure).")
+    count_arg "queue-cap" ~default:64
+      ~doc:"Admission-queue bound; requests beyond it get a structured \
+            `overloaded' reply (backpressure)."
   in
   let budget_arg =
     Arg.(value & opt (some float) None
@@ -941,10 +947,9 @@ let serve_cmd =
                    failing.")
   in
   let max_requests_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-requests" ] ~docv:"N"
-             ~doc:"Stop after accepting N connections (self-stopping test \
-                   daemons).")
+    count_opt_arg "max-requests"
+      ~doc:"Stop after accepting N connections (self-stopping test \
+            daemons)."
   in
   let no_fsync_arg =
     Arg.(value & flag
@@ -1195,9 +1200,8 @@ let mc_cmd =
              ~doc:"Run a single litmus test (default: the whole suite).")
   in
   let seeds_arg =
-    Arg.(value & opt int 1000
-         & info [ "seeds" ] ~docv:"N"
-             ~doc:"Seeded interleavings per litmus test (default 1000).")
+    count_arg "seeds" ~default:1000
+      ~doc:"Seeded interleavings per litmus test (default 1000)."
   in
   let seed_arg =
     Arg.(value & opt int 1
@@ -1217,9 +1221,7 @@ let mc_cmd =
                    (per-core application-specific synthesis).")
   in
   let max_steps_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-steps" ] ~docv:"N"
-             ~doc:"Per-core watchdog budget (default 500M).")
+    count_opt_arg "max-steps" ~doc:"Per-core watchdog budget (default 500M)."
   in
   let run litmus test seeds sched_s seed cores benchmarks isa scale max_steps
       jobs verbose =

@@ -1,13 +1,18 @@
 (** Request evaluation: cache keys, compute paths and the degradation
-    ladder.  Stateless apart from the store handle it is given — the
-    daemon owns sockets, queueing and counters; tests drive this
-    directly. *)
+    ladder.  The daemon owns sockets, queueing and counters; tests drive
+    this directly.  Apart from the store handle it is given, the one
+    piece of state is a process-wide memo of registry program digests:
+    one slot per registry benchmark (21 today), holding the digest of
+    the last scale asked for, so the memo never grows. *)
 
 val cache_key : Proto.request -> string
 (** Canonical key preimage for a computable request: exactly the fields
     that can change the result, with the program entering by content
     (MD5 of its canonical KIR encoding at the request scale) so a
     registry name and an identical inline program share one cache entry.
+    A registry program's digest comes from the memo when the benchmark
+    was last keyed at the same scale, so a warm named key costs a table
+    lookup; an inline program is encoded and hashed on every call.
     Raises a structured [Invalid_config] {!Pf_util.Sim_error.Error} for
     [Status]/[Shutdown], which have no result to cache. *)
 

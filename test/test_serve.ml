@@ -403,7 +403,43 @@ let test_cache_keys () =
   check_bool "status has no key" true
     (Result.is_error
        (SE.protect ~where:"t" (fun () ->
-            Service.cache_key { named with Proto.action = Proto.Status })))
+            Service.cache_key { named with Proto.action = Proto.Status })));
+  (* a named key reads its program digest from a per-benchmark memo; pin
+     it against an independent rebuild.  Per benchmark: scale 1, then
+     scale 2, then scale 1 again, so a digest left over from the other
+     scale shows as a mismatch. *)
+  let module R = Pf_mibench.Registry in
+  let cases =
+    List.concat_map
+      (fun (b : R.benchmark) -> List.map (fun s -> (b, s)) [ 1; 2; 1 ])
+      R.all
+  in
+  let named_key ((b : R.benchmark), scale) =
+    Service.cache_key
+      { Proto.default_request with Proto.program = Proto.Named b.R.name; scale }
+  in
+  let keys = List.map named_key cases in
+  List.iter2
+    (fun ((b : R.benchmark), scale) key ->
+      check_string
+        (Printf.sprintf "%s at scale %d keys like its inline program" b.R.name
+           scale)
+        (Service.cache_key
+           {
+             Proto.default_request with
+             Proto.program = Proto.Inline (b.R.program ~scale);
+             scale;
+             unroll = Some b.R.unroll;
+           })
+        key)
+    cases keys;
+  check_string "gsm alias keys like gsm.decode"
+    (Service.cache_key
+       { Proto.default_request with Proto.program = Proto.Named "gsm.decode" })
+    (Service.cache_key
+       { Proto.default_request with Proto.program = Proto.Named "gsm" });
+  check_bool "keys from 2 domains at once match the sequential ones" true
+    (Pf_util.Pool.map ~jobs:2 named_key cases = keys)
 
 let test_compute_matches_direct () =
   (* the service's arm evaluate must report exactly what a direct run

@@ -1,6 +1,7 @@
 #!/bin/sh
 # One-command CI gate: lint, build, full test suite, then end-to-end
-# smokes of the engines, of structured CLI errors, of explore (each
+# smokes of the engines, of structured CLI errors for bad count flags
+# (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
 # sweep checked against its replay oracle), serve, population and mc, of
 # the perfbench workloads' oracles and of the bench/probe.exe views.
 #
@@ -36,19 +37,29 @@ cmp -s "$ENG_DIR/reference.out" "$ENG_DIR/compiled.out" || {
 rm -rf "$ENG_DIR"
 
 echo "== negative smoke: bad input is a structured error =="
-# --scale 0 is bad input: the CLI must refuse it as a structured
-# invalid-config error with a non-zero exit, never die on an escaped
-# exception ("Fatal error").
-NEG_OUT=$(mktemp)
-if dune exec bin/powerfits.exe -- run crc32 --scale 0 >"$NEG_OUT" 2>&1; then
-  echo "ci: run --scale 0 exited 0"; cat "$NEG_OUT"; exit 1
-fi
-grep -q "invalid-config" "$NEG_OUT" || {
-  echo "ci: run --scale 0 did not report invalid-config"; cat "$NEG_OUT"; exit 1; }
-if grep -q "Fatal error" "$NEG_OUT"; then
-  echo "ci: run --scale 0 escaped as an exception"; cat "$NEG_OUT"; exit 1
-fi
-rm -f "$NEG_OUT"
+# A count flag below 1 is bad input: the CLI must refuse each of these
+# as a structured invalid-config error with a non-zero exit, never run
+# with it and never die on an escaped exception ("Fatal error").  Each
+# runs under timeout, so a regression that starts the daemon fails the
+# stage instead of hanging it.
+dune build bin/powerfits.exe
+NEG_DIR=$(mktemp -d)
+NEG_OUT="$NEG_DIR/out"
+for args in "run crc32 --scale 0" "run crc32 --max-steps 0" \
+  "mc --litmus --seeds 0" "inject crc32 --trials 0" \
+  "serve --queue-cap 0 --socket $NEG_DIR/pf.sock"; do
+  # $args is split into words on purpose
+  if timeout 60 ./_build/default/bin/powerfits.exe $args >"$NEG_OUT" 2>&1
+  then
+    echo "ci: $args exited 0"; cat "$NEG_OUT"; exit 1
+  fi
+  grep -q "invalid-config" "$NEG_OUT" || {
+    echo "ci: $args did not report invalid-config"; cat "$NEG_OUT"; exit 1; }
+  if grep -q "Fatal error" "$NEG_OUT"; then
+    echo "ci: $args escaped as an exception"; cat "$NEG_OUT"; exit 1
+  fi
+done
+rm -rf "$NEG_DIR"
 
 echo "== explore smoke grid: sweep engine vs replay oracle =="
 # explore always evaluates with the single-pass sweep engine.  The smoke

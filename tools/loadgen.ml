@@ -65,6 +65,13 @@ let () =
     Printf.eprintf "loadgen: --socket is required\n%s\n" usage;
     exit 2
   end;
+  List.iter
+    (fun (flag, n) ->
+      if n < 1 then begin
+        Printf.eprintf "loadgen: %s must be >= 1 (got %d)\n%s\n" flag n usage;
+        exit 2
+      end)
+    [ ("--requests", !requests); ("--conns", !conns) ];
   match
     Pf_serve.Loadgen.run ?benchmarks:!benchmarks ~inline:!inline
       ~socket:!socket ~requests:!requests ~conns:!conns ~seed:!seed ()
