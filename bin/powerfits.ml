@@ -128,7 +128,8 @@ let list_cmd =
 let profile_cmd =
   let run name scale =
     let image = build ~scale (find_bench name) in
-    let profile, _ = Pf_fits.Profile.profile_run image in
+    let counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+    let profile = Pf_fits.Profile.of_image_counts image ~counts in
     print_string (Pf_fits.Profile.summary profile);
     print_string (Pf_fits.Regfile.describe (Pf_fits.Regfile.analyze profile))
   in
@@ -251,14 +252,14 @@ let run_cmd =
           ~mr:r.Pf_cpu.Arm_run.miss_rate_per_million r.Pf_cpu.Arm_run.power
           r.Pf_cpu.Arm_run.output
     | `Fits16 | `Fits8 ->
-        let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+        let dyn_counts, _ =
+          Pf_fits.Synthesis.dyn_counts_of_run ?max_steps image
+        in
         let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
         let tr =
           Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image
         in
-        let r =
-          Pf_fits.Run.run ~engine ~cache_cfg ?max_steps tr
-        in
+        let r = Pf_fits.Run.run ~engine ~cache_cfg ?max_steps tr in
         Printf.printf "dynamic 1-to-1 mapping: %.1f%%\n"
           r.Pf_fits.Run.dyn_one_to_one_pct;
         print_common ~instrs:r.Pf_fits.Run.arm_instructions

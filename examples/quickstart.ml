@@ -50,12 +50,12 @@ let () =
     (Pf_arm.Image.code_size_bytes image);
 
   (* 2. profile one run (static + dynamic requirements, paper Fig. 1) *)
-  let profile, output = Pf_fits.Profile.profile_run image in
+  let dyn_counts, output = Pf_fits.Synthesis.dyn_counts_of_run image in
+  let profile = Pf_fits.Profile.of_image_counts image ~counts:dyn_counts in
   Printf.printf "program output: %s" output;
   Printf.printf "dynamic instructions: %d\n\n" profile.Pf_fits.Profile.dyn_insns;
 
   (* 3. synthesize the application-specific 16-bit instruction set *)
-  let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   Printf.printf "synthesized %d application-specific opcodes; %s\n"
     (List.length syn.Pf_fits.Synthesis.ais)

@@ -450,61 +450,52 @@ let exec (st : Exec.t) (o : Exec.outcome) u =
 
 (* ---- drivers ----------------------------------------------------------- *)
 
-(* Same shell as [Exec.run] — same watchdog, deadline polling and fault
-   conditions (including unaligned or out-of-code fetches) — minus the
-   per-step callback. *)
-let run ?(max_steps = 500_000_000) ?deadline (p : program) (st : Exec.t) =
-  let o = Exec.outcome () in
-  let uops = p.uops in
-  let n = Array.length uops in
-  let cb = p.code_base in
-  while not st.Exec.halted do
-    let pc = st.Exec.regs.(15) in
-    if pc = Exec.halt_sentinel then st.Exec.halted <- true
-    else begin
-      if st.Exec.steps >= max_steps then
-        Sim_error.raisef Sim_error.Watchdog_timeout ~where
-          "step budget exhausted (%d)" max_steps;
-      if st.Exec.steps land Exec.deadline_mask = 0 then
-        Deadline.check ~where deadline;
-      let off = pc - cb in
-      let idx = off lsr 2 in
-      if off < 0 || off land 3 <> 0 || idx >= n then
-        decode_fault "undecodable instruction fetch at 0x%x" pc;
-      let u = uops.(idx) in
-      if u.code = k_undef then
-        decode_fault "undecodable instruction fetch at 0x%x" pc;
-      exec st o u;
-      st.Exec.regs.(15) <- o.Exec.next_pc
-    end
-  done
+(* The shell's checks for a fetch at [pc] — same watchdog, deadline
+   polling and fault conditions (including unaligned or out-of-code
+   fetches) as [Exec.run] — and the micro-op there.  A closed function,
+   so inlining leaves its arguments in the caller's registers. *)
+let[@inline] fetch ~max_steps deadline uops n cb (st : Exec.t) pc =
+  if st.Exec.steps >= max_steps then
+    Sim_error.raisef Sim_error.Watchdog_timeout ~where
+      "step budget exhausted (%d)" max_steps;
+  if st.Exec.steps land Exec.deadline_mask = 0 then
+    Deadline.check ~where deadline;
+  let off = pc - cb in
+  let idx = off lsr 2 in
+  if off < 0 || off land 3 <> 0 || idx >= n then
+    decode_fault "undecodable instruction fetch at 0x%x" pc;
+  let u = uops.(idx) in
+  if u.code = k_undef then
+    decode_fault "undecodable instruction fetch at 0x%x" pc;
+  u
 
-(* [run] plus a per-site execution histogram — the profiling loop of
-   [Synthesis.dyn_counts_of_run] and [Profile.profile_run]. *)
-let run_counting ?(max_steps = 500_000_000) ?deadline (p : program)
-    (st : Exec.t) ~counts =
+(* [Exec.run] minus the per-step callback.  [counts] is tested once: the
+   counting loop is a second copy of the short body, so the uncounted
+   path pays nothing per step for it. *)
+let run ?(max_steps = 500_000_000) ?deadline ?counts (p : program)
+    (st : Exec.t) =
   let o = Exec.outcome () in
   let uops = p.uops in
   let n = Array.length uops in
   let cb = p.code_base in
-  while not st.Exec.halted do
-    let pc = st.Exec.regs.(15) in
-    if pc = Exec.halt_sentinel then st.Exec.halted <- true
-    else begin
-      if st.Exec.steps >= max_steps then
-        Sim_error.raisef Sim_error.Watchdog_timeout ~where
-          "step budget exhausted (%d)" max_steps;
-      if st.Exec.steps land Exec.deadline_mask = 0 then
-        Deadline.check ~where deadline;
-      let off = pc - cb in
-      let idx = off lsr 2 in
-      if off < 0 || off land 3 <> 0 || idx >= n then
-        decode_fault "undecodable instruction fetch at 0x%x" pc;
-      let u = uops.(idx) in
-      if u.code = k_undef then
-        decode_fault "undecodable instruction fetch at 0x%x" pc;
-      exec st o u;
-      counts.(idx) <- counts.(idx) + 1;
-      st.Exec.regs.(15) <- o.Exec.next_pc
-    end
-  done
+  match counts with
+  | None ->
+      while not st.Exec.halted do
+        let pc = st.Exec.regs.(15) in
+        if pc = Exec.halt_sentinel then st.Exec.halted <- true
+        else begin
+          exec st o (fetch ~max_steps deadline uops n cb st pc);
+          st.Exec.regs.(15) <- o.Exec.next_pc
+        end
+      done
+  | Some counts ->
+      while not st.Exec.halted do
+        let pc = st.Exec.regs.(15) in
+        if pc = Exec.halt_sentinel then st.Exec.halted <- true
+        else begin
+          exec st o (fetch ~max_steps deadline uops n cb st pc);
+          let idx = (pc - cb) lsr 2 in
+          counts.(idx) <- counts.(idx) + 1;
+          st.Exec.regs.(15) <- o.Exec.next_pc
+        end
+      done

@@ -123,17 +123,15 @@ val exec_dp_nr : Exec.t -> Exec.outcome -> uop -> unit
     performs; the caller owns the pc.  Calling it on any other micro-op is
     undefined (the compiler's shape analysis is the proof obligation). *)
 
-val run : ?max_steps:int -> ?deadline:Pf_util.Deadline.t -> program -> Exec.t -> unit
-(** Fetch-execute loop over a predecoded program: the counterpart of
-    {!Exec.run} without a per-step callback — same watchdog, deadline
-    polling and fault behaviour. *)
-
-val run_counting :
+val run :
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
+  ?counts:int array ->
   program ->
   Exec.t ->
-  counts:int array ->
   unit
-(** {!run} plus a per-slot execution histogram ([counts] is indexed like
-    [program.uops]) — the profiling loop used by FITS synthesis. *)
+(** Fetch-execute loop over a predecoded program: the counterpart of
+    {!Exec.run} without a per-step callback — same watchdog, deadline
+    polling and fault behaviour.  With [counts] (indexed like
+    [program.uops]) it also keeps a per-slot execution histogram — the
+    profiling loop of FITS synthesis. *)

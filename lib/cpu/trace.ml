@@ -101,10 +101,9 @@ let iter t f =
 
 (* Per-slot execution counts of the recorded stream.  The trace is the
    executed instruction sequence, so for an ARM recording this equals
-   what a dedicated counting run ([Synthesis.dyn_counts_of_run]'s
-   [Pexec.run_counting]) produces — the harness derives its synthesis
-   profile from the trace it just recorded instead of executing the
-   program a fifth time. *)
+   what a dedicated counting run ([Synthesis.dyn_counts_of_run]) produces
+   — a recording derives its synthesis profile from the trace it just
+   recorded instead of executing the program again. *)
 let exec_counts t ~base ~n =
   let counts = Array.make n 0 in
   let shift = if t.isize = 4 then 2 else 1 in

@@ -7,8 +7,6 @@ let variant_label = function
   | Fits None -> "fits"
   | Fits (Some b) -> Printf.sprintf "fits@%d" b
 
-let variant_is_arm = function Arm -> true | Fits _ -> false
-
 type metrics = {
   instructions : int;
   cycles : int;
@@ -175,133 +173,130 @@ let fits_sweep_1pass ~dict_budget ~(like : Pf_fits.Run.result) ~geometries
     geometries
 
 (* A benchmark's recorded executions, separated from the geometry sweeps
-   so the expensive half can be shared: the traces and translations are a
-   function of (program, max_steps, dict budgets) alone — geometry never
-   enters — so one recording serves any number of geometry evaluations
-   (the serve daemon shares them across explore-point requests).  Traces
-   and images are immutable once recorded; sweeping a recording only
-   reads it, so concurrent sweeps of a shared recording are safe. *)
-type recording = {
-  rec_name : string;
-  rec_category : string;
-  rec_image : Pf_arm.Image.t;
-  rec_arm_trace : Pf_cpu.Trace.t;
-  rec_arm_output : string;
-  rec_fits :
-    (int option * Pf_fits.Translate.t * Pf_cpu.Trace.t * Pf_fits.Run.result)
-    list;
-  rec_consistent : bool;
+   so the expensive half can be shared.  The ARM half is a function of
+   (program, max_steps) alone and a FITS half adds only its synthesis —
+   geometry never enters — so one recording serves any number of
+   geometry evaluations (the serve daemon shares halves across evaluate
+   and explore-point requests).  Everything in a recording is immutable
+   once recorded; sweeping or replaying it only reads it, so concurrent
+   readers of a shared recording are safe. *)
+type arm_half = {
+  image : Pf_arm.Image.t;
+  arm_trace : Pf_cpu.Trace.t;
+  arm_result : Pf_cpu.Arm_run.result;
 }
 
-(* 1 + |dict_budgets| recording executions under the block-compiled
-   engine (results are engine-invariant; the compiled engine is just the
-   fastest way to produce them).  The ARM recording doubles as the
-   profiling run — [Trace.exec_counts] of its trace is bit-identical to
-   a dedicated counting execution — so synthesis costs no extra run. *)
-let record ?(scale = 1) ?max_steps ?deadline ~dict_budgets
+type fits_half = {
+  dict_budget : int option;
+  synthesis : Pf_fits.Synthesis.result;
+  translation : Pf_fits.Translate.t;
+  fits_trace : Pf_cpu.Trace.t;
+  fits_result : Pf_fits.Run.result;
+}
+
+type recording = {
+  bench : Pf_mibench.Registry.benchmark;
+  arm : arm_half;
+  fits : fits_half list;
+}
+
+let check deadline = Deadline.check ~where:"dse.explore" deadline
+
+(* Recording runs default to the block-compiled engine (the runners'
+   default): results are engine-invariant, and it is the fastest way to
+   produce them. *)
+let record_arm ?(scale = 1) ?max_steps ?deadline ?engine
     (b : Pf_mibench.Registry.benchmark) =
-  let check () = Deadline.check ~where:"dse.explore" deadline in
-  let p = b.Pf_mibench.Registry.program ~scale in
   let image =
-    Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll p
+    Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll
+      (b.Pf_mibench.Registry.program ~scale)
   in
-  check ();
+  check deadline;
   let arm_trace = Pf_cpu.Trace.create ~isize:4 () in
-  let arm_r =
-    Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled
-      ~cache_cfg:Space.recording_point ?max_steps ?deadline ~trace:arm_trace
-      image
+  let arm_result =
+    Pf_cpu.Arm_run.run ?engine ~cache_cfg:Space.recording_point ?max_steps
+      ?deadline ~trace:arm_trace image
   in
-  check ();
-  let dyn_counts =
-    Pf_cpu.Trace.exec_counts arm_trace ~base:image.Pf_arm.Image.code_base
-      ~n:(Array.length image.Pf_arm.Image.words)
+  check deadline;
+  { bench = b; arm = { image; arm_trace; arm_result }; fits = [] }
+
+(* The ARM recording doubles as the profiling run: the trace is the
+   executed sequence, so its counts are bit-identical to a dedicated
+   counting execution.  Taken on demand, because an ARM-only reader never
+   needs them. *)
+let dyn_counts r =
+  Pf_cpu.Trace.exec_counts r.arm.arm_trace
+    ~base:r.arm.image.Pf_arm.Image.code_base
+    ~n:(Array.length r.arm.image.Pf_arm.Image.words)
+
+let record_fits ?max_steps ?deadline ?engine ~dict_budget
+    (synthesis : Pf_fits.Synthesis.result) r =
+  let translation =
+    Pf_fits.Translate.translate synthesis.Pf_fits.Synthesis.spec r.arm.image
   in
-  let reference_output = arm_r.Pf_cpu.Arm_run.output in
-  let consistent = ref true in
-  let fits =
-    List.map
-      (fun budget ->
-        let syn =
-          match budget with
-          | None -> Pf_fits.Synthesis.synthesize image ~dyn_counts
-          | Some dict_budget ->
-              Pf_fits.Synthesis.synthesize_suite ~dict_budget
-                [
-                  {
-                    Pf_fits.Synthesis.p_image = image;
-                    p_dyn_counts = dyn_counts;
-                    p_mult = 1;
-                  };
-                ]
-        in
-        let tr =
-          Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image
-        in
-        check ();
-        let ftrace = Pf_cpu.Trace.create ~isize:2 () in
-        let f_r =
-          Pf_fits.Run.run ~engine:Pf_fits.Run.Compiled
-            ~cache_cfg:Space.recording_point ?max_steps ?deadline
-            ~trace:ftrace tr
-        in
-        check ();
-        if f_r.Pf_fits.Run.output <> reference_output then
-          consistent := false;
-        (budget, tr, ftrace, f_r))
-      dict_budgets
+  check deadline;
+  let fits_trace = Pf_cpu.Trace.create ~isize:2 () in
+  let fits_result =
+    Pf_fits.Run.run ?engine ~cache_cfg:Space.recording_point ?max_steps
+      ?deadline ~trace:fits_trace translation
   in
-  {
-    rec_name = b.Pf_mibench.Registry.name;
-    rec_category = b.Pf_mibench.Registry.category;
-    rec_image = image;
-    rec_arm_trace = arm_trace;
-    rec_arm_output = reference_output;
-    rec_fits = fits;
-    rec_consistent = !consistent;
-  }
+  check deadline;
+  let half = { dict_budget; synthesis; translation; fits_trace; fits_result } in
+  { r with fits = r.fits @ [ half ] }
+
+let record ?scale ?max_steps ?deadline ?engine ~dict_budgets b =
+  let r = record_arm ?scale ?max_steps ?deadline ?engine b in
+  let program =
+    {
+      Pf_fits.Synthesis.p_image = r.arm.image;
+      p_dyn_counts = dyn_counts r;
+      p_mult = 1;
+    }
+  in
+  List.fold_left
+    (fun r dict_budget ->
+      let synthesis =
+        Pf_fits.Synthesis.synthesize_suite ?dict_budget [ program ]
+      in
+      record_fits ?max_steps ?deadline ?engine ~dict_budget synthesis r)
+    r dict_budgets
 
 (* The geometry half: replay (or single-pass sweep) a recording through
    every grid point.  Read-only on the recording. *)
-let sweep_recording ?(engine = Space.Replay) ~geometries (r : recording) =
+let sweep_recording ?(engine = Space.Replay) ~geometries r =
   let n_geoms = List.length geometries in
+  let a = r.arm in
+  let output = a.arm_result.Pf_cpu.Arm_run.output in
   let arm_points =
     match engine with
     | Space.Replay ->
-        arm_sweep ~image:r.rec_image ~output:r.rec_arm_output ~geometries
-          r.rec_arm_trace
-    | Space.Sweep ->
-        arm_sweep_1pass ~image:r.rec_image ~geometries r.rec_arm_trace
+        arm_sweep ~image:a.image ~output ~geometries a.arm_trace
+    | Space.Sweep -> arm_sweep_1pass ~image:a.image ~geometries a.arm_trace
   in
-  let replayed = ref (n_geoms * Pf_cpu.Trace.length r.rec_arm_trace) in
+  let replayed = ref (n_geoms * Pf_cpu.Trace.length a.arm_trace) in
   let fits_points =
     List.concat_map
-      (fun (budget, tr, ftrace, f_r) ->
-        replayed := !replayed + (n_geoms * Pf_cpu.Trace.length ftrace);
+      (fun f ->
+        replayed := !replayed + (n_geoms * Pf_cpu.Trace.length f.fits_trace);
         match engine with
         | Space.Replay ->
-            fits_sweep ~dict_budget:budget ~like:f_r ~geometries tr ftrace
+            fits_sweep ~dict_budget:f.dict_budget ~like:f.fits_result
+              ~geometries f.translation f.fits_trace
         | Space.Sweep ->
-            fits_sweep_1pass ~dict_budget:budget ~like:f_r ~geometries tr
-              ftrace)
-      r.rec_fits
+            fits_sweep_1pass ~dict_budget:f.dict_budget ~like:f.fits_result
+              ~geometries f.translation f.fits_trace)
+      r.fits
   in
   {
-    name = r.rec_name;
-    category = r.rec_category;
+    name = r.bench.Pf_mibench.Registry.name;
+    category = r.bench.Pf_mibench.Registry.category;
     points = arm_points @ fits_points;
     replayed_events = !replayed;
-    outputs_consistent = r.rec_consistent;
+    outputs_consistent =
+      List.for_all
+        (fun f -> f.fits_result.Pf_fits.Run.output = output)
+        r.fits;
   }
-
-let run_benchmark ?scale ?max_steps ?deadline ?engine ?recording ~geometries
-    ~dict_budgets (b : Pf_mibench.Registry.benchmark) =
-  let r =
-    match recording with
-    | Some r -> r
-    | None -> record ?scale ?max_steps ?deadline ~dict_budgets b
-  in
-  sweep_recording ?engine ~geometries r
 
 let default_wall_clock_s = 600.
 
@@ -322,8 +317,8 @@ let run ?(scale = 1) ?max_steps ?(wall_clock_s = default_wall_clock_s) ?jobs
         let outcome =
           Sim_error.protect ~where:("dse." ^ b.Pf_mibench.Registry.name)
             (fun () ->
-              run_benchmark ~scale ?max_steps ~deadline ~engine ~geometries
-                ~dict_budgets b)
+              record ~scale ?max_steps ~deadline ~dict_budgets b
+              |> sweep_recording ~engine ~geometries)
         in
         {
           bench = b.Pf_mibench.Registry.name;

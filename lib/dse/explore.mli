@@ -28,8 +28,6 @@ type variant = Arm | Fits of int option
 val variant_label : variant -> string
 (** ["arm"], ["fits"], or ["fits@<budget>"]. *)
 
-val variant_is_arm : variant -> bool
-
 type metrics = {
   instructions : int;   (** source (ARM) instructions for both ISAs *)
   cycles : int;
@@ -58,8 +56,7 @@ type bench_run = {
   replayed_events : int;
       (** trace events evaluated: Σ trace length × geometries — counted
           identically under both engines (the sweep evaluates every
-          geometry per pass), so it stays the unit of explore throughput
-          in the bench gate *)
+          geometry per pass), so it is the unit of explore throughput *)
   outputs_consistent : bool;
       (** every recording run printed the reference output *)
 }
@@ -100,27 +97,80 @@ val run :
     bit-identical either way.  A failing benchmark is isolated into its
     row ([Error]); it never aborts the sweep. *)
 
-type recording
-(** A benchmark's recorded executions — image, per-ISA traces,
-    translations, recording-run results — separated from the geometry
-    sweeps.  A recording is a function of (program, [max_steps],
-    [dict_budgets]) alone; cache geometry never enters, so one recording
-    serves any number of geometry evaluations.  Immutable once built:
-    sweeping only reads it, so a recording may be shared across domains
-    (the serve daemon shares them across explore-point requests). *)
+(** {2 Recordings}
+
+    The one product of the timed program flow (compile, profile,
+    synthesize, translate, run): consumers that need timing read a
+    recording or replay it at another geometry.  Geometry never enters
+    a recording, and it is immutable, so one may serve any number of
+    geometries across domains (the serve daemon shares halves). *)
+
+type arm_half = private {
+  image : Pf_arm.Image.t;
+  arm_trace : Pf_cpu.Trace.t;
+  arm_result : Pf_cpu.Arm_run.result;
+      (** the recording run, at {!Space.recording_point} *)
+}
+
+type fits_half = private {
+  dict_budget : int option;  (** the {!variant} label's budget *)
+  synthesis : Pf_fits.Synthesis.result;
+  translation : Pf_fits.Translate.t;
+  fits_trace : Pf_cpu.Trace.t;
+  fits_result : Pf_fits.Run.result;
+      (** the recording run, at {!Space.recording_point} *)
+}
+
+type recording = private {
+  bench : Pf_mibench.Registry.benchmark;  (** what was recorded *)
+  arm : arm_half;
+  fits : fits_half list;  (** in the order they were added *)
+}
+
+val record_arm :
+  ?scale:int ->
+  ?max_steps:int ->
+  ?deadline:Pf_util.Deadline.t ->
+  ?engine:Pf_cpu.Arm_run.engine ->
+  Pf_mibench.Registry.benchmark ->
+  recording
+(** Step one: compile the benchmark and execute it once on ARM, recording
+    its trace, under [engine] (default [Compiled]; results are
+    engine-invariant).  The recording has no FITS half yet.  Unprotected;
+    exceptions (including watchdogs) propagate. *)
+
+val dyn_counts : recording -> int array
+(** The ARM half's per-code-word execution counts,
+    {!Pf_cpu.Trace.exec_counts} of its trace: the ARM run doubles as the
+    profiling run, bit-identical to a dedicated counting execution.  Each
+    call walks the trace. *)
+
+val record_fits :
+  ?max_steps:int ->
+  ?deadline:Pf_util.Deadline.t ->
+  ?engine:Pf_cpu.Arm_run.engine ->
+  dict_budget:int option ->
+  Pf_fits.Synthesis.result ->
+  recording ->
+  recording
+(** Step two: translate the recording's image under the synthesis's
+    spec and execute the FITS binary once, recording its trace.  Returns
+    the recording with this FITS half appended; the argument is
+    unchanged, so its ARM half is shared, not copied.  [dict_budget] is
+    only the label of the half's {!variant}. *)
 
 val record :
   ?scale:int ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
+  ?engine:Pf_cpu.Arm_run.engine ->
   dict_budgets:int option list ->
   Pf_mibench.Registry.benchmark ->
   recording
-(** The expensive half of {!run_benchmark}: 1 + |dict_budgets| recording
-    executions under the block-compiled engine (results are
-    engine-invariant), with the synthesis profile derived from the ARM
-    trace ({!Pf_cpu.Trace.exec_counts}) instead of a dedicated counting
-    run.  Unprotected; exceptions (including watchdogs) propagate. *)
+(** {!record_arm}, then one {!record_fits} per budget, each synthesized
+    from the ARM half's {!dyn_counts} with
+    {!Pf_fits.Synthesis.synthesize_suite} at that budget: 1 +
+    |dict_budgets| executions. *)
 
 val sweep_recording :
   ?engine:Space.engine ->
@@ -131,20 +181,10 @@ val sweep_recording :
     per-geometry replay (default) or the single-pass [Sweep] kernel —
     bit-identical either way.  Read-only on the recording. *)
 
-val run_benchmark :
-  ?scale:int ->
-  ?max_steps:int ->
-  ?deadline:Pf_util.Deadline.t ->
-  ?engine:Space.engine ->
-  ?recording:recording ->
-  geometries:Pf_cache.Icache.config list ->
-  dict_budgets:int option list ->
-  Pf_mibench.Registry.benchmark ->
-  bench_run
-(** One benchmark, unprotected (exceptions propagate) — {!run} wraps
-    this.  [engine] defaults to [Replay].  [recording] substitutes an
-    existing {!record} result (its [scale]/[max_steps]/[dict_budgets]
-    must match the arguments, which then go unused). *)
+val metrics_of_arm : Pf_cache.Icache.config -> Pf_cpu.Arm_run.result -> metrics
+val metrics_of_fits : Pf_cache.Icache.config -> Pf_fits.Run.result -> metrics
+(** Project a runner result at the given geometry onto {!metrics};
+    [instructions] are source (ARM) instructions for both ISAs. *)
 
 val arm_sweep :
   image:Pf_arm.Image.t ->
@@ -155,15 +195,6 @@ val arm_sweep :
 (** Replay a recorded ARM trace through every geometry — the DSE inner
     loop, exposed so test/test_alloc.ml can assert it allocates O(grid),
     not O(trace events). *)
-
-val fits_sweep :
-  dict_budget:int option ->
-  like:Pf_fits.Run.result ->
-  geometries:Pf_cache.Icache.config list ->
-  Pf_fits.Translate.t ->
-  Pf_cpu.Trace.t ->
-  point list
-(** FITS counterpart of {!arm_sweep}; [like] is the recording run. *)
 
 (** {2 Derived views} *)
 

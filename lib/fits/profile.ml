@@ -79,14 +79,6 @@ let of_image_counts (image : Pf_arm.Image.t) ~counts =
     image.Pf_arm.Image.insns;
   t
 
-let profile_run ?max_steps (image : Pf_arm.Image.t) =
-  let nwords = Array.length image.Pf_arm.Image.words in
-  let counts = Array.make nwords 0 in
-  let st = Pf_arm.Exec.create image in
-  Pf_arm.Pexec.run_counting ?max_steps (Pf_arm.Pexec.compile image) st
-    ~counts;
-  (of_image_counts image ~counts, Pf_arm.Exec.output st)
-
 (* ---- the profile algebra ------------------------------------------------ *)
 
 (* Merging is plain integer addition on every component, so it is

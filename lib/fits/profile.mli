@@ -37,11 +37,6 @@ val of_image_counts : Pf_arm.Image.t -> counts:int array -> t
 (** Full static+dynamic profile from per-word execution counts already
     measured (e.g. {!Synthesis.dyn_counts_of_run}) — no execution. *)
 
-val profile_run :
-  ?max_steps:int -> Pf_arm.Image.t -> t * string
-(** Execute the image once and return the full static+dynamic profile and
-    the program output (so callers can validate the run). *)
-
 (** {2 Profile algebra}
 
     Profiles of different programs combine by component-wise integer

@@ -22,8 +22,8 @@ type program = {
 let dyn_counts_of_run ?max_steps ?deadline (image : Pf_arm.Image.t) =
   let counts = Array.make (Array.length image.Pf_arm.Image.words) 0 in
   let st = Pf_arm.Exec.create image in
-  Pf_arm.Pexec.run_counting ?max_steps ?deadline
-    (Pf_arm.Pexec.compile image) st ~counts;
+  Pf_arm.Pexec.run ?max_steps ?deadline ~counts (Pf_arm.Pexec.compile image)
+    st;
   (counts, Pf_arm.Exec.output st)
 
 let mem_scale_of (w : A.mem_width) =

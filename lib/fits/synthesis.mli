@@ -50,8 +50,8 @@ val synthesize :
   dyn_counts:int array ->
   result
 (** [dyn_counts] gives the execution count of each code word (as produced
-    by {!Profile.profile_run}'s underlying run, or all zeros for
-    static-only synthesis).  [static_weight] scales how much code size
+    by {!dyn_counts_of_run} or {!Pf_cpu.Trace.exec_counts}, or all zeros
+    for static-only synthesis).  [static_weight] scales how much code size
     matters relative to dynamic frequency (default 1.0 = one average
     dynamic instruction per static occurrence).
 

@@ -1,12 +1,14 @@
-type per_config = {
+type per_config = Pf_dse.Explore.metrics = {
   instructions : int;
   cycles : int;
   ipc : float;
   fetch_accesses : int;
+  cache_accesses : int;
   cache_misses : int;
   miss_rate_pm : float;
   dcache_miss_rate_pm : float;
   power : Pf_power.Account.report;
+  gate_count : int;
 }
 
 type bench_result = {
@@ -34,93 +36,33 @@ type bench_result = {
 let cache_16k = Pf_dse.Space.cache_16k
 let cache_8k = Pf_dse.Space.cache_8k
 
-let of_arm (r : Pf_cpu.Arm_run.result) =
-  {
-    instructions = r.Pf_cpu.Arm_run.instructions;
-    cycles = r.Pf_cpu.Arm_run.cycles;
-    ipc = r.Pf_cpu.Arm_run.ipc;
-    fetch_accesses = r.Pf_cpu.Arm_run.fetch_accesses;
-    cache_misses = r.Pf_cpu.Arm_run.cache_misses;
-    miss_rate_pm = r.Pf_cpu.Arm_run.miss_rate_per_million;
-    dcache_miss_rate_pm = r.Pf_cpu.Arm_run.dcache_miss_rate_pm;
-    power = r.Pf_cpu.Arm_run.power;
-  }
+module X = Pf_dse.Explore
 
-let of_fits (r : Pf_fits.Run.result) =
-  {
-    instructions = r.Pf_fits.Run.arm_instructions;
-    cycles = r.Pf_fits.Run.cycles;
-    ipc = r.Pf_fits.Run.ipc;
-    fetch_accesses = r.Pf_fits.Run.fetch_accesses;
-    cache_misses = r.Pf_fits.Run.cache_misses;
-    miss_rate_pm = r.Pf_fits.Run.miss_rate_per_million;
-    dcache_miss_rate_pm = r.Pf_fits.Run.dcache_miss_rate_pm;
-    power = r.Pf_fits.Run.power;
-  }
-
-(* Each ISA executes exactly once: the 16 KB run records the instruction
-   stream, and the 8 KB data point replays it through the smaller cache.
-   Cache geometry cannot change architectural behaviour, so the replayed
-   statistics are bit-identical to a direct simulation (asserted by the
-   replay-equivalence tests) at roughly half the cost — 2 executions plus
-   2 cheap replays instead of 4 executions.
-
-   The ARM recording doubles as the profiling run: synthesis needs
-   per-word dynamic counts, and the recorded trace IS the executed
-   sequence, so [Trace.exec_counts] recovers counts bit-identical to a
-   dedicated [dyn_counts_of_run] execution (pinned by the synthesis
-   tests) without executing the program an extra time.  The ARM side
-   therefore runs first and the reference output is the ARM run's output;
-   cross-ISA consistency is still asserted against the FITS runs, and
-   cross-ENGINE architectural identity is pinned by the engine
-   differential tests. *)
-let run_benchmark ?(scale = 1) ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps
-    ?deadline (b : Pf_mibench.Registry.benchmark) =
-  let check () = Pf_util.Deadline.check ~where:"harness.experiment" deadline in
-  let p = b.Pf_mibench.Registry.program ~scale in
-  let image =
-    Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll p
-  in
-  check ();
-  let arm_trace = Pf_cpu.Trace.create ~isize:4 () in
-  let arm16_r =
-    Pf_cpu.Arm_run.run ~engine ~cache_cfg:cache_16k ?max_steps ?deadline
-      ~trace:arm_trace image
-  in
+(* Each ISA executes once, in the recording; the 8 KB points replay its
+   streams, bit-identical to direct runs at about half the cost.  A
+   replay carries its recording run's output over, so the one output
+   check is the FITS run against the ARM run. *)
+let run_benchmark ?(scale = 1) ?engine ?max_steps ?deadline
+    (b : Pf_mibench.Registry.benchmark) =
+  let r = X.record ~scale ?engine ?max_steps ?deadline ~dict_budgets:[ None ] b in
+  let a = r.X.arm and f = List.hd r.X.fits in
+  let image = a.X.image and tr = f.X.translation and syn = f.X.synthesis in
+  let arm16_r = a.X.arm_result and fits16_r = f.X.fits_result in
+  let output = arm16_r.Pf_cpu.Arm_run.output in
   let arm8_r =
-    Pf_cpu.Arm_run.replay ~cache_cfg:cache_8k
-      ~output:arm16_r.Pf_cpu.Arm_run.output image arm_trace
-  in
-  check ();
-  let dyn_counts =
-    Pf_cpu.Trace.exec_counts arm_trace ~base:image.Pf_arm.Image.code_base
-      ~n:(Array.length image.Pf_arm.Image.words)
-  in
-  let reference_output = arm16_r.Pf_cpu.Arm_run.output in
-  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-  let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  check ();
-  let thumb = Pf_thumb.Translate.estimate image in
-  let fits_trace = Pf_cpu.Trace.create ~isize:2 () in
-  let fits16_r =
-    Pf_fits.Run.run ~engine ~cache_cfg:cache_16k ?max_steps ?deadline
-      ~trace:fits_trace tr
+    Pf_cpu.Arm_run.replay ~cache_cfg:cache_8k ~output image a.X.arm_trace
   in
   let fits8_r =
-    Pf_fits.Run.replay ~cache_cfg:cache_8k ~like:fits16_r tr fits_trace
+    Pf_fits.Run.replay ~cache_cfg:cache_8k ~like:fits16_r tr f.X.fits_trace
   in
-  let outputs_consistent =
-    arm8_r.Pf_cpu.Arm_run.output = reference_output
-    && fits16_r.Pf_fits.Run.output = reference_output
-    && fits8_r.Pf_fits.Run.output = reference_output
-  in
+  let thumb = Pf_thumb.Translate.estimate image in
   {
     name = b.Pf_mibench.Registry.name;
     category = b.Pf_mibench.Registry.category;
-    arm16 = of_arm arm16_r;
-    arm8 = of_arm arm8_r;
-    fits16 = of_fits fits16_r;
-    fits8 = of_fits fits8_r;
+    arm16 = X.metrics_of_arm cache_16k arm16_r;
+    arm8 = X.metrics_of_arm cache_8k arm8_r;
+    fits16 = X.metrics_of_fits cache_16k fits16_r;
+    fits8 = X.metrics_of_fits cache_8k fits8_r;
     static_map_pct = Pf_fits.Translate.static_mapping_rate tr;
     dyn_map_pct = fits16_r.Pf_fits.Run.dyn_one_to_one_pct;
     expansion_hist = tr.Pf_fits.Translate.stats.Pf_fits.Translate.expansion_hist;
@@ -130,7 +72,7 @@ let run_benchmark ?(scale = 1) ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps
     datapath_off = syn.Pf_fits.Synthesis.datapath_off;
     ais_ops = List.length syn.Pf_fits.Synthesis.ais;
     dict_entries = Array.length tr.Pf_fits.Translate.spec.Pf_fits.Spec.dict;
-    outputs_consistent;
+    outputs_consistent = fits16_r.Pf_fits.Run.output = output;
   }
 
 (* ---- crash-proof sweep ------------------------------------------------- *)

@@ -8,17 +8,22 @@
     result is only reported if the ARM and FITS executions printed exactly
     the same thing. *)
 
-type per_config = {
+type per_config = Pf_dse.Explore.metrics = {
   instructions : int;     (** source (ARM) instructions retired *)
   cycles : int;
   ipc : float;
   fetch_accesses : int;
+  cache_accesses : int;
   cache_misses : int;
   miss_rate_pm : float;   (** misses per million accesses (Figure 13) *)
   dcache_miss_rate_pm : float;
       (** the fixed 8 KB data cache (constant across configurations) *)
   power : Pf_power.Account.report;
+  gate_count : int;       (** area proxy of the geometry *)
 }
+(** One configuration's numbers: the exploration grid's per-point
+    metrics, so the paper's four configurations and the grid points are
+    one record. *)
 
 type bench_result = {
   name : string;
@@ -44,11 +49,6 @@ val cache_8k : Pf_cache.Icache.config
 (** Aliases of {!Pf_dse.Space.cache_16k} / {!Pf_dse.Space.cache_8k}: the
     paper's configurations are named points of the exploration grid. *)
 
-val of_arm : Pf_cpu.Arm_run.result -> per_config
-val of_fits : Pf_fits.Run.result -> per_config
-(** Project a runner result onto the shared per-configuration record
-    (used by the multi-program harness, which assembles its own rows). *)
-
 val run_benchmark :
   ?scale:int ->
   ?engine:Pf_cpu.Arm_run.engine ->
@@ -56,18 +56,17 @@ val run_benchmark :
   ?deadline:Pf_util.Deadline.t ->
   Pf_mibench.Registry.benchmark ->
   bench_result
-(** Full pipeline for one benchmark (default scale 1): compile, then
-    simulate the four configurations as two recorded executions (ARM16,
-    FITS16) plus two trace replays (ARM8, FITS8) — cache geometry cannot
-    change architectural behaviour, so the replayed statistics are
-    bit-identical to direct simulation.  The ARM16 recording doubles as
-    the profiling run: synthesis consumes {!Pf_cpu.Trace.exec_counts} of
-    its trace, which is bit-identical to a dedicated counting execution.
-    [engine] (default [Compiled]) selects the execution engine for both
-    recording runs; every engine retires the identical architectural
-    stream (engine differential tests), so results do not depend on
-    it.  [max_steps] is a per-run step watchdog and [deadline] a
-    wall-clock one, polled inside the execute loops and at phase
+(** Full pipeline for one benchmark (default scale 1): the benchmark's
+    {!Pf_dse.Explore.record} with the uncapped dictionary — an ARM16 and
+    a FITS16 execution, each recording its stream, the synthesis
+    profiled from the ARM trace — plus ARM8 and FITS8 as trace replays
+    and the Thumb estimate.  Cache geometry cannot change architectural
+    behaviour, so the replayed statistics are bit-identical to direct
+    simulation.  [engine] (default [Compiled]) selects the execution
+    engine for both recording runs; every engine retires the identical
+    architectural stream (engine differential tests), so results do not
+    depend on it.  [max_steps] is a per-run step watchdog and [deadline]
+    a wall-clock one, polled inside the execute loops and at phase
     boundaries; exhaustion of either raises a [Watchdog_timeout]
     {!Pf_util.Sim_error.Error}. *)
 

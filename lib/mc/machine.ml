@@ -138,7 +138,9 @@ let fits_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
   (* per-core application-specific synthesis: profile the ARM image,
      synthesize its FITS spec, translate — the sequential FITS flow, one
      decoder configuration per core *)
-  let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+  let dyn_counts, _ =
+    Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
+  in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
   Pf_fits.Run.stepper ?cache_cfg ?pipeline_cfg ?power_params ?max_steps

@@ -18,6 +18,9 @@ let bench ?result_name ?(power_study = true) ?(unroll = 1) name category
     unroll;
   }
 
+let of_program ?unroll ~category name program =
+  bench ~power_study:false ?unroll name category (fun ~scale:_ -> program)
+
 let all =
   [
     (* automotive *)

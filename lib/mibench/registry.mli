@@ -20,6 +20,11 @@ type benchmark = {
           unrolled loops (jpeg, lame, gsm, sha, rijndael) *)
 }
 
+val of_program :
+  ?unroll:int -> category:string -> string -> Pf_kir.Ast.program -> benchmark
+(** A one-off program as a benchmark: the same program at every scale,
+    outside the power study, [unroll] defaulting to 1. *)
+
 val all : benchmark list
 (** The full 21-benchmark suite, grouped by category.  Benchmark names and
     result-name aliases are asserted unique at module init (a duplicate

@@ -1,5 +1,6 @@
 module E = Pf_harness.Experiment
 module F = Pf_harness.Figures
+module X = Pf_dse.Explore
 
 type isa = Per_app | Shared | Loo
 
@@ -35,8 +36,8 @@ let eval_cell ~isa spec (p : Suite.prepared) =
   in
   {
     cell_isa = isa;
-    fits16 = E.of_fits r16;
-    fits8 = E.of_fits r8;
+    fits16 = X.metrics_of_fits E.cache_16k r16;
+    fits8 = X.metrics_of_fits E.cache_8k r8;
     static_map_pct = Pf_fits.Translate.static_mapping_rate tr;
     dyn_map_pct = r16.Pf_fits.Run.dyn_one_to_one_pct;
     code_fits =
@@ -89,7 +90,8 @@ let run ?(weighting = Weighting.Dyn_count)
     | Some j -> max 1 j
     | None -> Pf_util.Pool.default_jobs ()
   in
-  let ps = Suite.prepare ?scale ~jobs benches in
+  let prepared = Suite.prepare ?scale ~jobs benches in
+  let ps = List.map fst prepared in
   let shared = Suite.synthesize_shared ~weighting ~dict_budget ps in
   (* Leave-one-out specs are synthesized in parallel: each is a fresh
      suite synthesis over the other programs, with the same weighting and
@@ -106,16 +108,13 @@ let run ?(weighting = Weighting.Dyn_count)
   in
   let rows =
     Pf_util.Pool.map ~jobs
-      (fun (p, lspec) ->
+      (fun ((p, arm16_r), lspec) ->
         let bench = Suite.name p in
         let outcome =
           Pf_util.Sim_error.protect ~where:("multi." ^ bench) (fun () ->
               let syn =
                 Pf_fits.Synthesis.synthesize p.Suite.image
                   ~dyn_counts:p.Suite.dyn_counts
-              in
-              let arm16_r =
-                Pf_cpu.Arm_run.run ~cache_cfg:E.cache_16k p.Suite.image
               in
               let per_app =
                 eval_cell ~isa:Per_app syn.Pf_fits.Synthesis.spec p
@@ -126,14 +125,14 @@ let run ?(weighting = Weighting.Dyn_count)
                 r_bench = bench;
                 r_category = p.Suite.bench.Pf_mibench.Registry.category;
                 r_code_arm = Pf_arm.Image.code_size_bytes p.Suite.image;
-                r_arm16 = E.of_arm arm16_r;
+                r_arm16 = X.metrics_of_arm E.cache_16k arm16_r;
                 r_per_app = per_app;
                 r_shared = shared_c;
                 r_loo = loo_c;
               })
         in
         { ro_bench = bench; ro_outcome = outcome })
-      (List.combine ps loo_specs)
+      (List.combine prepared loo_specs)
   in
   let completed =
     List.fold_left

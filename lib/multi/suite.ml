@@ -1,5 +1,6 @@
 module R = Pf_mibench.Registry
 module P = Pf_fits.Profile
+module X = Pf_dse.Explore
 
 type prepared = {
   bench : R.benchmark;
@@ -11,17 +12,24 @@ type prepared = {
 
 let name p = p.bench.R.name
 
-let prepare_one ?(scale = 1) (b : R.benchmark) =
-  let prog = b.R.program ~scale in
-  let image = Pf_armgen.Compile.program ~unroll:b.R.unroll prog in
-  let dyn_counts, reference_output =
-    Pf_fits.Synthesis.dyn_counts_of_run image
-  in
-  let profile = P.of_image_counts image ~counts:dyn_counts in
-  { bench = b; image; dyn_counts; profile; reference_output }
+let of_recording (r : X.recording) =
+  let image = r.X.arm.X.image and dyn_counts = X.dyn_counts r in
+  {
+    bench = r.X.bench;
+    image;
+    dyn_counts;
+    profile = P.of_image_counts image ~counts:dyn_counts;
+    reference_output = r.X.arm.X.arm_result.Pf_cpu.Arm_run.output;
+  }
 
+(* Each worker keeps the prepared view and the ARM16 result; the trace
+   is dropped as soon as its counts are taken. *)
 let prepare ?scale ?jobs benches =
-  Pf_util.Pool.map ?jobs (fun b -> prepare_one ?scale b) benches
+  Pf_util.Pool.map ?jobs
+    (fun b ->
+      let r = X.record_arm ?scale b in
+      (of_recording r, r.X.arm.X.arm_result))
+    benches
 
 let multiplier weighting p =
   Weighting.multiplier weighting ~name:(name p)

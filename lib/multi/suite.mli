@@ -1,12 +1,14 @@
 (** Multi-program suites: prepared benchmarks, weighted profile merging,
     and shared-ISA synthesis.
 
-    A {e prepared} benchmark has been compiled and executed once — its
-    image, per-word dynamic counts, profile and reference output are all
-    captured, so every downstream consumer (merging, synthesis, LOO
-    evaluation) reuses the same measurement.  Preparation is the only
-    stage that executes ARM code; everything after it is deterministic
-    arithmetic on the captured counts. *)
+    A {e prepared} benchmark is the view of a recording's ARM half
+    ({!Pf_dse.Explore.record_arm}): the program has been compiled and
+    executed once, and its image, per-word dynamic counts, profile and
+    reference output are all captured, so every downstream consumer
+    (merging, synthesis, LOO evaluation) reuses the same measurement.
+    Preparation is the only stage that executes ARM code; everything
+    after it is arithmetic on the captured counts and FITS
+    executions. *)
 
 type prepared = {
   bench : Pf_mibench.Registry.benchmark;
@@ -18,12 +20,18 @@ type prepared = {
 
 val name : prepared -> string
 
+val of_recording : Pf_dse.Explore.recording -> prepared
+(** The prepared view of a recording's ARM half; the profile is built
+    from its counts. *)
+
 val prepare :
   ?scale:int -> ?jobs:int -> Pf_mibench.Registry.benchmark list ->
-  prepared list
-(** Compile and profile each benchmark once (in parallel over [jobs]
+  (prepared * Pf_cpu.Arm_run.result) list
+(** Record each benchmark's ARM half once (in parallel over [jobs]
     domains; result order matches input order and is independent of
-    [jobs]). *)
+    [jobs]), keeping its prepared view and its ARM16 result
+    ({!Pf_dse.Explore.arm_half}'s [arm_result]).  The traces are
+    dropped. *)
 
 val multiplier : Weighting.t -> prepared -> int
 (** The integer weight applied to this program's dynamic counts. *)

@@ -10,34 +10,6 @@ module Registry = Pf_mibench.Registry
 
 let err fmt = SE.raisef SE.Invalid_config ~where:"serve.service" fmt
 
-(* ---- request resolution ---- *)
-
-type resolved = {
-  r_program : Pf_kir.Ast.program;
-  r_name : string;
-  r_unroll : int;
-}
-
-(* An explicit unroll wins; otherwise a registry program compiles with
-   its own factor and an inline one with 1. *)
-let unroll_of (req : Proto.request) =
-  match (req.Proto.unroll, req.Proto.program) with
-  | Some u, _ -> u
-  | None, Proto.Inline _ -> 1
-  | None, Proto.Named n -> (Registry.find_exn n).Registry.unroll
-
-let resolve (req : Proto.request) =
-  let r_unroll = unroll_of req in
-  match req.Proto.program with
-  | Proto.Inline p -> { r_program = p; r_name = "inline"; r_unroll }
-  | Proto.Named n ->
-      let b = Registry.find_exn n in
-      {
-        r_program = b.Registry.program ~scale:req.Proto.scale;
-        r_name = b.Registry.name;
-        r_unroll;
-      }
-
 (* ---- program digests ---- *)
 
 (* A registry program is a pure function of (benchmark, scale), and so is
@@ -70,7 +42,41 @@ let program_digest (req : Proto.request) =
           Atomic.set slot (Some (scale, d));
           d)
 
+(* ---- request resolution ---- *)
+
+type resolved = {
+  r_program : Pf_kir.Ast.program;
+  r_name : string;
+  r_unroll : int;
+  r_digest : string Lazy.t;  (* forced only to key a shared recording *)
+}
+
+(* An explicit unroll wins; otherwise a registry program compiles with
+   its own factor and an inline one with 1. *)
+let unroll_of (req : Proto.request) =
+  match (req.Proto.unroll, req.Proto.program) with
+  | Some u, _ -> u
+  | None, Proto.Inline _ -> 1
+  | None, Proto.Named n -> (Registry.find_exn n).Registry.unroll
+
+let resolve (req : Proto.request) =
+  let r_unroll = unroll_of req and r_digest = lazy (program_digest req) in
+  match req.Proto.program with
+  | Proto.Inline p -> { r_program = p; r_name = "inline"; r_unroll; r_digest }
+  | Proto.Named n ->
+      let b = Registry.find_exn n in
+      {
+        r_program = b.Registry.program ~scale:req.Proto.scale;
+        r_name = b.Registry.name;
+        r_unroll;
+        r_digest;
+      }
+
 (* ---- cache keys ---- *)
+
+let opt_int name = function
+  | None -> name ^ "=none"
+  | Some i -> Printf.sprintf "%s=%d" name i
 
 (* The key preimage is a canonical line list over exactly the fields that
    can change the result of the action.  The program enters by *content*
@@ -82,10 +88,6 @@ let cache_key (req : Proto.request) =
   let geom_line (g : Pf_cache.Icache.config) =
     Printf.sprintf "geometry=%d/%d/%d" g.Pf_cache.Icache.size_bytes
       g.Pf_cache.Icache.block_bytes g.Pf_cache.Icache.assoc
-  in
-  let opt_int name = function
-    | None -> name ^ "=none"
-    | Some i -> Printf.sprintf "%s=%d" name i
   in
   let common =
     [
@@ -133,26 +135,30 @@ let output_md5 s = Digest.to_hex (Digest.string s)
 
 (* ---- compute paths ---- *)
 
-let synthesis_of ~(req : Proto.request) ~(r : resolved) ?max_steps ?deadline
-    image =
-  let dyn_counts, output =
-    Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
-  in
+module X = Pf_dse.Explore
+
+let synthesis_of ~weighting ~(req : Proto.request) ~(r : resolved) image
+    ~dyn_counts =
   let dyn_insns = Array.fold_left ( + ) 0 dyn_counts in
   let p_mult =
-    Pf_multi.Weighting.multiplier req.Proto.weighting ~name:r.r_name ~dyn_insns
+    Pf_multi.Weighting.multiplier weighting ~name:r.r_name ~dyn_insns
   in
   let syn =
-    Pf_fits.Synthesis.synthesize_suite
-      ?dict_budget:req.Proto.dict_budget
+    Pf_fits.Synthesis.synthesize_suite ?dict_budget:req.Proto.dict_budget
       [ { Pf_fits.Synthesis.p_image = image; p_dyn_counts = dyn_counts; p_mult } ]
   in
-  (syn, dyn_insns, output)
+  (syn, dyn_insns)
 
+(* Synthesis needs only a profile, so it keeps the bare counting run. *)
 let compute_synthesize ~(req : Proto.request) ~(r : resolved) ?max_steps
     ?deadline () =
   let image = Pf_armgen.Compile.program ~unroll:r.r_unroll r.r_program in
-  let syn, dyn_insns, output = synthesis_of ~req ~r ?max_steps ?deadline image in
+  let dyn_counts, output =
+    Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
+  in
+  let syn, dyn_insns =
+    synthesis_of ~weighting:req.Proto.weighting ~req ~r image ~dyn_counts
+  in
   Json.Obj
     [
       ("program", Json.String r.r_name);
@@ -165,130 +171,155 @@ let compute_synthesize ~(req : Proto.request) ~(r : resolved) ?max_steps
       ("output_md5", Json.String (output_md5 output));
     ]
 
-let compute_evaluate ~(req : Proto.request) ~(r : resolved) ?max_steps ?deadline
-    () =
-  let image = Pf_armgen.Compile.program ~unroll:r.r_unroll r.r_program in
-  match req.Proto.isa with
-  | Proto.Arm ->
-      let res =
-        Pf_cpu.Arm_run.run ~cache_cfg:req.Proto.geometry ?max_steps ?deadline
-          image
-      in
-      Json.Obj
-        [
-          ("program", Json.String r.r_name);
-          ("isa", Json.String "arm");
-          ("instructions", Json.Int res.Pf_cpu.Arm_run.instructions);
-          ("cycles", Json.Int res.Pf_cpu.Arm_run.cycles);
-          ("ipc", Json.Float res.Pf_cpu.Arm_run.ipc);
-          ("fetch_accesses", Json.Int res.Pf_cpu.Arm_run.fetch_accesses);
-          ("cache_accesses", Json.Int res.Pf_cpu.Arm_run.cache_accesses);
-          ("cache_misses", Json.Int res.Pf_cpu.Arm_run.cache_misses);
-          ( "miss_rate_pm",
-            Json.Float res.Pf_cpu.Arm_run.miss_rate_per_million );
-          ( "dcache_miss_rate_pm",
-            Json.Float res.Pf_cpu.Arm_run.dcache_miss_rate_pm );
-          ("power", power_json res.Pf_cpu.Arm_run.power);
-          ("output_md5", Json.String (output_md5 res.Pf_cpu.Arm_run.output));
-        ]
-  | Proto.Fits ->
-      let syn, _, _ = synthesis_of ~req ~r ?max_steps ?deadline image in
-      let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-      let res =
-        Pf_fits.Run.run ~cache_cfg:req.Proto.geometry ?max_steps ?deadline tr
-      in
-      Json.Obj
-        [
-          ("program", Json.String r.r_name);
-          ("isa", Json.String "fits");
-          ("instructions", Json.Int res.Pf_fits.Run.arm_instructions);
-          ("fits_instructions", Json.Int res.Pf_fits.Run.fits_instructions);
-          ( "dyn_one_to_one_pct",
-            Json.Float res.Pf_fits.Run.dyn_one_to_one_pct );
-          ("cycles", Json.Int res.Pf_fits.Run.cycles);
-          ("ipc", Json.Float res.Pf_fits.Run.ipc);
-          ("fetch_accesses", Json.Int res.Pf_fits.Run.fetch_accesses);
-          ("cache_accesses", Json.Int res.Pf_fits.Run.cache_accesses);
-          ("cache_misses", Json.Int res.Pf_fits.Run.cache_misses);
-          ( "miss_rate_pm",
-            Json.Float res.Pf_fits.Run.miss_rate_per_million );
-          ( "dcache_miss_rate_pm",
-            Json.Float res.Pf_fits.Run.dcache_miss_rate_pm );
-          ("dict_spilled", Json.Int syn.Pf_fits.Synthesis.dict_spilled);
-          ("power", power_json res.Pf_fits.Run.power);
-          ("output_md5", Json.String (output_md5 res.Pf_fits.Run.output));
-        ]
+(* ---- shared recordings ---- *)
 
-(* Recording key for explore-point trace sharing: exactly what
-   determines a recording — program content (scale-specialized), unroll,
-   effective max_steps, dictionary budget.  Geometry deliberately stays
-   out: that is the axis requests share across.  A deadline never enters
-   either — it aborts a recording, it cannot truncate one. *)
-let share_key ~(req : Proto.request) ~(r : resolved) ~max_steps =
-  String.concat "\n"
-    [
-      "powerfits-trace/1";
-      "program=" ^ program_digest req;
-      Printf.sprintf "unroll=%d" r.r_unroll;
-      (match max_steps with
-      | None -> "max_steps=none"
-      | Some i -> Printf.sprintf "max_steps=%d" i);
-      (match req.Proto.dict_budget with
-      | None -> "dict_budget=none"
-      | Some i -> Printf.sprintf "dict_budget=%d" i);
+(* Trace-sharing keys: exactly what determines a recording half.  Geometry
+   stays out — requests share across it — and so does a deadline, which
+   aborts a recording but cannot truncate one. *)
+let arm_key ~(r : resolved) ~max_steps =
+  [
+    "powerfits-trace/1";
+    "program=" ^ Lazy.force r.r_digest;
+    Printf.sprintf "unroll=%d" r.r_unroll;
+    opt_int "max_steps" max_steps;
+  ]
+
+let fits_key ~weighting ~(req : Proto.request) ~r ~max_steps =
+  arm_key ~r ~max_steps
+  @ [
+      opt_int "dict_budget" req.Proto.dict_budget;
+      "weighting=" ^ Pf_multi.Weighting.to_string weighting;
     ]
 
+(* The flag says whether the table already held the recording.  [key] is
+   built only for a table: an inline program's digest is an encode. *)
+let shared ?traces ~key record =
+  match traces with
+  | None -> (record (), false)
+  | Some ts ->
+      Trace_share.find_or_record ts ~key:(String.concat "\n" (key ())) record
+
+let arm_half ?traces ~(r : resolved) ?max_steps ?deadline () =
+  shared ?traces ~key:(fun () -> arm_key ~r ~max_steps) (fun () ->
+      X.record_arm ?max_steps ?deadline
+        (Registry.of_program ~unroll:r.r_unroll ~category:"serve" r.r_name
+           r.r_program))
+
+(* A recording with one FITS half, built on the table's ARM half, so a
+   program's ARM side runs once while it stays in the table. *)
+let fits_half ?traces ~weighting ~req ~r ?max_steps ?deadline () =
+  shared ?traces ~key:(fun () -> fits_key ~weighting ~req ~r ~max_steps)
+    (fun () ->
+      let arm, _ = arm_half ?traces ~r ?max_steps ?deadline () in
+      let syn, _ =
+        synthesis_of ~weighting ~req ~r arm.X.arm.X.image
+          ~dyn_counts:(X.dyn_counts arm)
+      in
+      X.record_fits ?max_steps ?deadline ~dict_budget:req.Proto.dict_budget
+        syn arm)
+
+(* An evaluate reply: one configuration's metrics, with the FITS-only
+   fields at their places. *)
+let evaluate_json ~(r : resolved) ~isa ~after_insns ~before_power
+    (m : X.metrics) output =
+  Json.Obj
+    ([
+       ("program", Json.String r.r_name);
+       ("isa", Json.String isa);
+       ("instructions", Json.Int m.X.instructions);
+     ]
+    @ after_insns
+    @ [
+        ("cycles", Json.Int m.X.cycles);
+        ("ipc", Json.Float m.X.ipc);
+        ("fetch_accesses", Json.Int m.X.fetch_accesses);
+        ("cache_accesses", Json.Int m.X.cache_accesses);
+        ("cache_misses", Json.Int m.X.cache_misses);
+        ("miss_rate_pm", Json.Float m.X.miss_rate_pm);
+        ("dcache_miss_rate_pm", Json.Float m.X.dcache_miss_rate_pm);
+      ]
+    @ before_power
+    @ [
+        ("power", power_json m.X.power);
+        ("output_md5", Json.String (output_md5 output));
+      ])
+
+(* An evaluate executes only its own ISA.  At the recording point it
+   answers from the recording run itself; at any other geometry it
+   replays the recorded stream with the default power parameters, which
+   is bit-identical to a direct run there. *)
+let compute_evaluate ?traces ~(req : Proto.request) ~(r : resolved) ?max_steps
+    ?deadline () =
+  let g = req.Proto.geometry in
+  let recorded = g = Pf_dse.Space.recording_point in
+  match req.Proto.isa with
+  | Proto.Arm ->
+      let recording, _ = arm_half ?traces ~r ?max_steps ?deadline () in
+      let a = recording.X.arm in
+      let output = a.X.arm_result.Pf_cpu.Arm_run.output in
+      let res =
+        if recorded then a.X.arm_result
+        else Pf_cpu.Arm_run.replay ~cache_cfg:g ~output a.X.image a.X.arm_trace
+      in
+      evaluate_json ~r ~isa:"arm" ~after_insns:[] ~before_power:[]
+        (X.metrics_of_arm g res) output
+  | Proto.Fits ->
+      let recording, _ =
+        fits_half ?traces ~weighting:req.Proto.weighting ~req ~r ?max_steps
+          ?deadline ()
+      in
+      let f = List.hd recording.X.fits in
+      let res =
+        if recorded then f.X.fits_result
+        else
+          Pf_fits.Run.replay ~cache_cfg:g ~like:f.X.fits_result
+            f.X.translation f.X.fits_trace
+      in
+      evaluate_json ~r ~isa:"fits"
+        ~after_insns:
+          [
+            ("fits_instructions", Json.Int res.Pf_fits.Run.fits_instructions);
+            ( "dyn_one_to_one_pct",
+              Json.Float res.Pf_fits.Run.dyn_one_to_one_pct );
+          ]
+        ~before_power:
+          [
+            ( "dict_spilled",
+              Json.Int f.X.synthesis.Pf_fits.Synthesis.dict_spilled );
+          ]
+        (X.metrics_of_fits g res) res.Pf_fits.Run.output
+
+(* Explore-point synthesizes with multiplier 1 whatever the request's
+   weighting, so it shares FITS halves with [dynamic]-weighted
+   evaluates. *)
 let compute_explore_point ?traces ~(req : Proto.request) ~(r : resolved)
     ?max_steps ?deadline () =
-  let bench : Pf_mibench.Registry.benchmark =
-    {
-      Pf_mibench.Registry.name = r.r_name;
-      result_name = r.r_name;
-      category = "serve";
-      program = (fun ~scale:_ -> r.r_program);
-      power_study = false;
-      unroll = r.r_unroll;
-    }
-  in
-  let dict_budgets = [ req.Proto.dict_budget ] in
-  let record () =
-    Pf_dse.Explore.record ?max_steps ?deadline ~dict_budgets bench
-  in
   let recording, trace_shared =
-    match traces with
-    | None -> (record (), false)
-    | Some ts ->
-        Trace_share.find_or_record ts ~key:(share_key ~req ~r ~max_steps)
-          record
+    fits_half ?traces ~weighting:Pf_multi.Weighting.Dyn_count ~req ~r
+      ?max_steps ?deadline ()
   in
-  let run =
-    Pf_dse.Explore.sweep_recording ~geometries:[ req.Proto.geometry ]
-      recording
-  in
-  let point_json (p : Pf_dse.Explore.point) =
-    let m = p.Pf_dse.Explore.metrics in
+  let run = X.sweep_recording ~geometries:[ req.Proto.geometry ] recording in
+  let point_json (p : X.point) =
+    let m = p.X.metrics in
     Json.Obj
       [
-        ( "variant",
-          Json.String (Pf_dse.Explore.variant_label p.Pf_dse.Explore.variant) );
-        ("geometry", Proto.geometry_to_json p.Pf_dse.Explore.geometry);
-        ("instructions", Json.Int m.Pf_dse.Explore.instructions);
-        ("cycles", Json.Int m.Pf_dse.Explore.cycles);
-        ("ipc", Json.Float m.Pf_dse.Explore.ipc);
-        ("cache_misses", Json.Int m.Pf_dse.Explore.cache_misses);
-        ("miss_rate_pm", Json.Float m.Pf_dse.Explore.miss_rate_pm);
-        ("gate_count", Json.Int m.Pf_dse.Explore.gate_count);
-        ("power", power_json m.Pf_dse.Explore.power);
+        ("variant", Json.String (X.variant_label p.X.variant));
+        ("geometry", Proto.geometry_to_json p.X.geometry);
+        ("instructions", Json.Int m.X.instructions);
+        ("cycles", Json.Int m.X.cycles);
+        ("ipc", Json.Float m.X.ipc);
+        ("cache_misses", Json.Int m.X.cache_misses);
+        ("miss_rate_pm", Json.Float m.X.miss_rate_pm);
+        ("gate_count", Json.Int m.X.gate_count);
+        ("power", power_json m.X.power);
       ]
   in
   Json.Obj
     [
       ("program", Json.String r.r_name);
-      ( "points",
-        Json.List (List.map point_json run.Pf_dse.Explore.points) );
-      ("replayed_events", Json.Int run.Pf_dse.Explore.replayed_events);
-      ( "outputs_consistent",
-        Json.Bool run.Pf_dse.Explore.outputs_consistent );
+      ("points", Json.List (List.map point_json run.X.points));
+      ("replayed_events", Json.Int run.X.replayed_events);
+      ("outputs_consistent", Json.Bool run.X.outputs_consistent);
       ("trace_shared", Json.Bool trace_shared);
     ]
 
@@ -313,7 +344,8 @@ let compute ?traces ?(budget_s = default_budget_s) ?default_max_steps
         in
         match req.Proto.action with
         | Proto.Synthesize -> compute_synthesize ~req ~r ?max_steps ?deadline ()
-        | Proto.Evaluate -> compute_evaluate ~req ~r ?max_steps ?deadline ()
+        | Proto.Evaluate ->
+            compute_evaluate ?traces ~req ~r ?max_steps ?deadline ()
         | Proto.Explore_point ->
             compute_explore_point ?traces ~req ~r ?max_steps ?deadline ()
         | (Proto.Status | Proto.Shutdown) as a ->

@@ -30,14 +30,22 @@ val compute :
     and a fresh {!Pf_util.Deadline} per attempt.  The bool is the
     degraded flag: a [Watchdog_timeout] on a named benchmark with
     [scale > 1] retries at half scale (repeatedly, down to 1) instead of
-    failing.  Deterministic simulation errors never retry.  With
-    [traces], an explore-point request reuses (or contributes) the
-    program's recorded executions, keyed by program content, unroll,
-    effective max_steps and dictionary budget — never geometry — so
-    requests walking a geometry grid record once and sweep many; the
-    reply's [trace_shared] field says which happened.  Results are
-    bit-identical with or without sharing (replays are read-only on the
-    recording). *)
+    failing.  Deterministic simulation errors never retry.
+
+    Evaluate and explore-point read the program's recording
+    ({!Pf_dse.Explore.recording}): its ARM half, keyed by program
+    content, unroll and effective max_steps, and for FITS a FITS half
+    that adds the dictionary budget and synthesis weighting (multiplier
+    1 for explore-point).  Geometry never enters, so requests walking a
+    geometry grid record once and replay many.  With [traces] the halves
+    are shared across requests; an explore-point reply's [trace_shared]
+    field says whether its recording was already in the table.  An
+    evaluate runs only its own ISA and answers from the recording run at
+    {!Pf_dse.Space.recording_point}, elsewhere from a replay with the
+    default power parameters — the bytes a direct run at that geometry
+    gives.  Results are bit-identical with or without sharing (replays
+    are read-only on the recording).  Synthesize keeps a bare counting
+    run. *)
 
 val envelope : degraded:bool -> Json.t -> string
 (** Store payload for a computed result: result JSON plus the degraded

@@ -1,12 +1,13 @@
-(* Recorded-trace sharing across explore-point requests.
+(* Recorded-trace sharing across evaluate and explore-point requests.
 
-   An explore-point request records the program's executions (one per
-   ISA) and then evaluates ONE geometry from them — so a client walking a
-   geometry grid pays the recording once per point unless the daemon
-   remembers it.  This table memoizes {!Pf_dse.Explore.recording}s under
-   a key covering exactly what determines a recording — program content
-   (scale-specialized), unroll, effective max_steps, dictionary budget —
-   and geometry deliberately not, so grid walks share.
+   Both actions read a program's recorded executions and then evaluate
+   ONE geometry from them — so a client walking a geometry grid pays the
+   recording once per point unless the daemon remembers it.  This table
+   memoizes {!Pf_dse.Explore.recording}s under keys the service builds
+   from exactly what determines one: program content (scale-specialized),
+   unroll and effective max_steps for an ARM half, plus the dictionary
+   budget and synthesis weighting for a FITS half — and geometry
+   deliberately not, so grid walks share.
 
    Recordings are immutable once built and sweeping only reads them, so
    one recording can serve concurrent worker domains; the table itself is
@@ -94,12 +95,6 @@ let find_or_record t ~key f =
       in
       Mutex.unlock t.m;
       (winner, false)
-
-let entries t =
-  Mutex.lock t.m;
-  let n = Hashtbl.length t.tbl in
-  Mutex.unlock t.m;
-  n
 
 let stats t =
   Mutex.lock t.m;

@@ -1,12 +1,14 @@
-(** Memoized {!Pf_dse.Explore.recording}s, shared across explore-point
-    requests.
+(** Memoized {!Pf_dse.Explore.recording}s, shared across evaluate and
+    explore-point requests.
 
-    A recording (the program's per-ISA executions and traces) is a
-    function of program content, unroll, effective max_steps and
-    dictionary budget — never of cache geometry — so a client walking a
-    geometry grid needs it recorded once, not once per point.  The table
-    is mutex-protected and LRU-bounded; recordings are immutable, so a
-    shared one can be swept by concurrent worker domains. *)
+    The service keeps each program's halves here: an ARM half, keyed by
+    program content, unroll and effective max_steps, and a FITS half per
+    (dictionary budget, weighting), built on the ARM half.  None is a
+    function of cache geometry, so a client walking a geometry grid needs
+    a program recorded once, not once per point, and evaluates of both
+    ISAs share one ARM execution.  The table is mutex-protected and
+    LRU-bounded; recordings are immutable, so a shared one can be read
+    by concurrent worker domains. *)
 
 type t
 
@@ -24,8 +26,6 @@ val find_or_record :
     the same fresh key may both record — bit-identical results, first
     insert wins, both callers share the winner. *)
 
-val entries : t -> int
-
 val stats : t -> int * int * int
 (** [(shared, recorded, entries)]: lookups served from the table,
-    recordings inserted, and current size. *)
+    recordings inserted (each half counts once), and current size. *)

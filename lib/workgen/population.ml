@@ -77,50 +77,32 @@ let avg_power = Pf_power.Account.avg_power
 
 let prep_one ?max_steps ~index (program : Pf_kir.Ast.program) =
   let name = Generate.name ~index in
-  let image = Pf_armgen.Compile.program program in
-  let trace = Pf_cpu.Trace.create ~isize:4 () in
-  let arm16 =
-    Pf_cpu.Arm_run.run ~cache_cfg:Pf_harness.Experiment.cache_16k ?max_steps
-      ~trace image
+  let recording =
+    Pf_dse.Explore.record_arm ?max_steps
+      (Pf_mibench.Registry.of_program ~category:"generated" name program)
   in
-  let dyn_counts =
-    Pf_cpu.Trace.exec_counts trace ~base:image.Pf_arm.Image.code_base
-      ~n:(Array.length image.Pf_arm.Image.words)
+  let prepared = Pf_multi.Suite.of_recording recording in
+  let arm16 = recording.Pf_dse.Explore.arm.Pf_dse.Explore.arm_result in
+  let image = prepared.Pf_multi.Suite.image in
+  let syn =
+    Pf_fits.Synthesis.synthesize image
+      ~dyn_counts:prepared.Pf_multi.Suite.dyn_counts
   in
-  let profile = Pf_fits.Profile.of_image_counts image ~counts:dyn_counts in
-  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
   let fits8 =
     Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_8k ?max_steps tr
   in
   let baseline = avg_power arm16.Pf_cpu.Arm_run.power in
-  let bench =
-    {
-      Pf_mibench.Registry.name;
-      result_name = name;
-      category = "generated";
-      program = (fun ~scale:_ -> program);
-      power_study = false;
-      unroll = 1;
-    }
-  in
   {
     p_index = index;
-    p_prepared =
-      {
-        Pf_multi.Suite.bench;
-        image;
-        dyn_counts;
-        profile;
-        reference_output = arm16.Pf_cpu.Arm_run.output;
-      };
+    p_prepared = prepared;
     p_arm16_power = baseline;
     p_arm16_insns = arm16.Pf_cpu.Arm_run.instructions;
     p_per_app_saving = Stats.saving ~baseline (avg_power fits8.Pf_fits.Run.power);
     p_per_app_steps = fits8.Pf_fits.Run.arm_instructions;
     p_per_app_out_ok =
       String.equal fits8.Pf_fits.Run.output arm16.Pf_cpu.Arm_run.output;
-    p_mix = Phase.mix_of_profile profile;
+    p_mix = Phase.mix_of_profile prepared.Pf_multi.Suite.profile;
   }
 
 (* shared-spec evaluation of one prepared row *)

@@ -189,7 +189,8 @@ let test_regfile_analysis () =
              ];
          ])
   in
-  let profile, _ = Pf_fits.Profile.profile_run image in
+  let counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+  let profile = Pf_fits.Profile.of_image_counts image ~counts in
   let r = Pf_fits.Regfile.analyze profile in
   Alcotest.(check bool) "uses several registers" true (r.Pf_fits.Regfile.distinct_used >= 4);
   Alcotest.(check bool) "coverage within [0,1]" true

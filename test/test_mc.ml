@@ -318,6 +318,26 @@ let test_validate_jobs () =
     | exception Pf_util.Sim_error.Error e ->
         e.Pf_util.Sim_error.kind = Pf_util.Sim_error.Invalid_config)
 
+(* Building a FITS core profiles the image with a counting run; that
+   run must honour the core's step budget, not the counting loop's
+   default, so a runaway kernel fails fast and names the budget. *)
+let test_fits_core_step_budget () =
+  let open Pf_kir.Build in
+  let image =
+    Pf_armgen.Compile.program
+      (program [] [ func "main" [] [ while_ (i 1) [] ] ])
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Mc.fits_core ~max_steps:1000 image with
+  | _ -> Alcotest.fail "an endless loop built a FITS core"
+  | exception Pf_util.Sim_error.Error e ->
+      Alcotest.(check bool) "watchdog timeout" true
+        (e.Pf_util.Sim_error.kind = Pf_util.Sim_error.Watchdog_timeout);
+      Alcotest.(check string) "names the core's budget"
+        "step budget exhausted (1000)" e.Pf_util.Sim_error.detail);
+  Alcotest.(check bool) "fails within a second" true
+    (Unix.gettimeofday () -. t0 < 1.0)
+
 let tests =
   [
     Alcotest.test_case "model: SB separates SC from TSO" `Quick test_model_sb;
@@ -349,4 +369,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_jobs_independent;
     Alcotest.test_case "jobs validation is structured and uniform" `Quick
       test_validate_jobs;
+    Alcotest.test_case "FITS core profiling honours max_steps" `Quick
+      test_fits_core_step_budget;
   ]

@@ -12,7 +12,7 @@ module W = Pf_multi.Weighting
 let small_suite =
   List.map Pf_mibench.Registry.find_exn [ "crc32"; "bitcount"; "stringsearch" ]
 
-let prepared = lazy (S.prepare ~jobs:1 small_suite)
+let prepared = lazy (List.map fst (S.prepare ~jobs:1 small_suite))
 
 (* ---- profile-algebra laws ---------------------------------------------- *)
 
@@ -108,7 +108,20 @@ let test_jobs_determinism () =
     (c1.E.c_shared.S.spec.Pf_fits.Spec.dict
     = c4.E.c_shared.S.spec.Pf_fits.Spec.dict);
   Alcotest.(check string) "every report identical across jobs 1/4"
-    (render c1) (render c4)
+    (render c1) (render c4);
+  let cache_16k = Pf_harness.Experiment.cache_16k in
+  Alcotest.(check bool) "each ARM16 row = a direct 16 KB run" true
+    (List.for_all
+       (fun (row : E.row) ->
+         let b = Pf_mibench.Registry.find_exn row.E.r_bench in
+         let image =
+           Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll
+             (b.Pf_mibench.Registry.program ~scale:1)
+         in
+         Pf_dse.Explore.metrics_of_arm cache_16k
+           (Pf_cpu.Arm_run.run ~cache_cfg:cache_16k image)
+         = row.E.r_arm16)
+       (E.ok_rows c1))
 
 (* ---- leave-one-out differential ---------------------------------------- *)
 
@@ -133,9 +146,11 @@ let test_loo_differential () =
     Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_8k tr
   in
   Alcotest.(check bool) "FITS16 cell = direct simulation" true
-    (Pf_harness.Experiment.of_fits direct16 = cell.E.fits16);
+    (Pf_dse.Explore.metrics_of_fits Pf_harness.Experiment.cache_16k direct16
+    = cell.E.fits16);
   Alcotest.(check bool) "FITS8 replay cell = direct simulation" true
-    (Pf_harness.Experiment.of_fits direct8 = cell.E.fits8)
+    (Pf_dse.Explore.metrics_of_fits Pf_harness.Experiment.cache_8k direct8
+    = cell.E.fits8)
 
 (* ---- expected directions ----------------------------------------------- *)
 

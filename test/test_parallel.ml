@@ -202,10 +202,13 @@ let test_run_benchmark_matches_direct () =
       cycles = direct_arm8.Pf_cpu.Arm_run.cycles;
       ipc = direct_arm8.Pf_cpu.Arm_run.ipc;
       fetch_accesses = direct_arm8.Pf_cpu.Arm_run.fetch_accesses;
+      cache_accesses = direct_arm8.Pf_cpu.Arm_run.cache_accesses;
       cache_misses = direct_arm8.Pf_cpu.Arm_run.cache_misses;
       miss_rate_pm = direct_arm8.Pf_cpu.Arm_run.miss_rate_per_million;
       dcache_miss_rate_pm = direct_arm8.Pf_cpu.Arm_run.dcache_miss_rate_pm;
       power = direct_arm8.Pf_cpu.Arm_run.power;
+      gate_count =
+        (Pf_power.Geometry.of_config E.cache_8k).Pf_power.Geometry.gate_count;
     }
     r.E.arm8;
   check_bool "outputs consistent" true r.E.outputs_consistent

@@ -821,10 +821,12 @@ let test_trace_sharing () =
   let r8 = run (point Pf_dse.Space.cache_8k) in
   check_bool "first point records" false (shared r16);
   check_bool "second point shares" true (shared r8);
+  (* the first point recorded two halves: the ARM half, then the FITS
+     half built on it *)
   let shd, rcd, ent = Pf_serve.Trace_share.stats traces in
   check_int "one share" 1 shd;
-  check_int "one recording" 1 rcd;
-  check_int "one entry" 1 ent;
+  check_int "two halves recorded" 2 rcd;
+  check_int "two entries" 2 ent;
   (* bit-identical to a compute with no sharing, apart from the flag *)
   let member name r =
     match J.member name r with
@@ -845,10 +847,183 @@ let test_trace_sharing () =
     run { (point Pf_dse.Space.cache_16k) with Proto.dict_budget = Some 96 }
   in
   check_bool "dict budget splits the key" false (shared r_dict);
+  (* a new FITS half, built on the shared ARM half *)
   let shd, rcd, ent = Pf_serve.Trace_share.stats traces in
-  check_int "still one share" 1 shd;
-  check_int "two recordings" 2 rcd;
-  check_int "two entries" 2 ent
+  check_int "the ARM half is shared" 2 shd;
+  check_int "one more FITS half" 3 rcd;
+  check_int "three entries" 3 ent
+
+(* ---- evaluate oracle ---- *)
+
+(* What an evaluate reply held when every request compiled, profiled with
+   a counting run, synthesized and simulated directly at its geometry.
+   The service now reads shared recordings and replays them; its replies
+   must stay these bytes. *)
+let direct_evaluate (req : Proto.request) ~name image =
+  let power (p : Pf_power.Account.report) =
+    J.Obj
+      [
+        ("switching", J.Float p.Pf_power.Account.switching);
+        ("internal", J.Float p.Pf_power.Account.internal);
+        ("leakage", J.Float p.Pf_power.Account.leakage);
+        ("total", J.Float p.Pf_power.Account.total);
+        ("peak_power", J.Float p.Pf_power.Account.peak_power);
+        ("cycles", J.Int p.Pf_power.Account.cycles);
+      ]
+  in
+  let md5 s = J.String (Digest.to_hex (Digest.string s)) in
+  let g = req.Proto.geometry in
+  match req.Proto.isa with
+  | Proto.Arm ->
+      let r = Pf_cpu.Arm_run.run ~cache_cfg:g image in
+      J.Obj
+        [
+          ("program", J.String name);
+          ("isa", J.String "arm");
+          ("instructions", J.Int r.Pf_cpu.Arm_run.instructions);
+          ("cycles", J.Int r.Pf_cpu.Arm_run.cycles);
+          ("ipc", J.Float r.Pf_cpu.Arm_run.ipc);
+          ("fetch_accesses", J.Int r.Pf_cpu.Arm_run.fetch_accesses);
+          ("cache_accesses", J.Int r.Pf_cpu.Arm_run.cache_accesses);
+          ("cache_misses", J.Int r.Pf_cpu.Arm_run.cache_misses);
+          ("miss_rate_pm", J.Float r.Pf_cpu.Arm_run.miss_rate_per_million);
+          ("dcache_miss_rate_pm", J.Float r.Pf_cpu.Arm_run.dcache_miss_rate_pm);
+          ("power", power r.Pf_cpu.Arm_run.power);
+          ("output_md5", md5 r.Pf_cpu.Arm_run.output);
+        ]
+  | Proto.Fits ->
+      let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+      let p_mult =
+        Pf_multi.Weighting.multiplier req.Proto.weighting ~name
+          ~dyn_insns:(Array.fold_left ( + ) 0 dyn_counts)
+      in
+      let syn =
+        Pf_fits.Synthesis.synthesize_suite ?dict_budget:req.Proto.dict_budget
+          [ { Pf_fits.Synthesis.p_image = image; p_dyn_counts = dyn_counts; p_mult } ]
+      in
+      let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
+      let r = Pf_fits.Run.run ~cache_cfg:g tr in
+      J.Obj
+        [
+          ("program", J.String name);
+          ("isa", J.String "fits");
+          ("instructions", J.Int r.Pf_fits.Run.arm_instructions);
+          ("fits_instructions", J.Int r.Pf_fits.Run.fits_instructions);
+          ("dyn_one_to_one_pct", J.Float r.Pf_fits.Run.dyn_one_to_one_pct);
+          ("cycles", J.Int r.Pf_fits.Run.cycles);
+          ("ipc", J.Float r.Pf_fits.Run.ipc);
+          ("fetch_accesses", J.Int r.Pf_fits.Run.fetch_accesses);
+          ("cache_accesses", J.Int r.Pf_fits.Run.cache_accesses);
+          ("cache_misses", J.Int r.Pf_fits.Run.cache_misses);
+          ("miss_rate_pm", J.Float r.Pf_fits.Run.miss_rate_per_million);
+          ("dcache_miss_rate_pm", J.Float r.Pf_fits.Run.dcache_miss_rate_pm);
+          ("dict_spilled", J.Int syn.Pf_fits.Synthesis.dict_spilled);
+          ("power", power r.Pf_fits.Run.power);
+          ("output_md5", md5 r.Pf_fits.Run.output);
+        ]
+
+(* Both ISAs, both weightings, the two paper geometries and one whose
+   power parameters differ from the defaults (4 KB, 16-byte blocks,
+   2-way), for a registry and a generated program, all served through
+   one shared table. *)
+let test_evaluate_oracle () =
+  let traces = Pf_serve.Trace_share.create () in
+  let crc32 = Pf_mibench.Registry.find_exn "crc32" in
+  let generated =
+    Pf_workgen.Generate.program
+      ~model:(Pf_workgen.Calibrate.reference ())
+      ~seed:7 ~index:0
+  in
+  let programs =
+    [
+      ( Proto.Named "crc32",
+        "crc32",
+        Pf_armgen.Compile.program ~unroll:crc32.Pf_mibench.Registry.unroll
+          (crc32.Pf_mibench.Registry.program ~scale:1) );
+      (Proto.Inline generated, "inline", Pf_armgen.Compile.program generated);
+    ]
+  in
+  let geometries =
+    [
+      Pf_dse.Space.cache_16k;
+      Pf_dse.Space.cache_8k;
+      Pf_cache.Icache.config ~size_bytes:4096 ~block_bytes:16 ~assoc:2 ();
+    ]
+  in
+  List.iter
+    (fun (program, name, image) ->
+      List.iter
+        (fun isa ->
+          List.iter
+            (fun weighting ->
+              List.iter
+                (fun geometry ->
+                  let req =
+                    {
+                      Proto.default_request with
+                      Proto.program;
+                      isa;
+                      weighting;
+                      geometry;
+                    }
+                  in
+                  let label =
+                    Printf.sprintf "%s %s %s %d/%d/%d" name
+                      (Proto.isa_name isa)
+                      (Pf_multi.Weighting.to_string weighting)
+                      geometry.Pf_cache.Icache.size_bytes
+                      geometry.Pf_cache.Icache.block_bytes
+                      geometry.Pf_cache.Icache.assoc
+                  in
+                  match Service.compute ~traces req with
+                  | Error e -> Alcotest.failf "%s: %s" label (SE.to_string e)
+                  | Ok (reply, _) ->
+                      check_string label
+                        (J.to_string (direct_evaluate req ~name image))
+                        (J.to_string reply))
+                geometries)
+            [ Pf_multi.Weighting.Dyn_count; Pf_multi.Weighting.Uniform ])
+        [ Proto.Arm; Proto.Fits ])
+    programs;
+  let shd, _, _ = Pf_serve.Trace_share.stats traces in
+  check_bool "the table served halves" true (shd > 0)
+
+(* An ARM evaluate executes only ARM: a step budget the ARM run fits but
+   the FITS run would exceed still succeeds. *)
+let test_evaluate_arm_budget () =
+  let b = Pf_mibench.Registry.find_exn "crc32" in
+  let image =
+    Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll
+      (b.Pf_mibench.Registry.program ~scale:1)
+  in
+  let arm_steps = (Pf_cpu.Arm_run.run image).Pf_cpu.Arm_run.instructions in
+  let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
+  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
+  let fits_steps =
+    (Pf_fits.Run.run
+       (Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image))
+      .Pf_fits.Run.fits_instructions
+  in
+  check_bool "FITS retires more steps than ARM" true (fits_steps > arm_steps + 1);
+  let req =
+    {
+      Proto.default_request with
+      Proto.program = Proto.Named "crc32";
+      max_steps = Some ((arm_steps + fits_steps) / 2);
+    }
+  in
+  let traces = Pf_serve.Trace_share.create () in
+  (match Service.compute ~traces req with
+  | Ok (reply, _) ->
+      check_string "the budgeted reply is the unbudgeted one"
+        (J.to_string (direct_evaluate req ~name:"crc32" image))
+        (J.to_string reply)
+  | Error e -> Alcotest.failf "ARM evaluate failed: %s" (SE.to_string e));
+  match Service.compute ~traces { req with Proto.isa = Proto.Fits } with
+  | Ok _ -> Alcotest.fail "the FITS evaluate fit a budget below its steps"
+  | Error e ->
+      check_bool "the FITS evaluate trips its watchdog" true
+        (e.SE.kind = SE.Watchdog_timeout)
 
 let tests =
   [
@@ -890,6 +1065,10 @@ let tests =
       test_daemon_error_isolation;
     Alcotest.test_case "daemon: backpressure" `Slow test_daemon_backpressure;
     Alcotest.test_case "daemon: loadgen run" `Slow test_loadgen_against_daemon;
+    Alcotest.test_case "service: evaluate equals the direct-run oracle" `Slow
+      test_evaluate_oracle;
+    Alcotest.test_case "service: ARM evaluate under a budget FITS exceeds"
+      `Quick test_evaluate_arm_budget;
     Alcotest.test_case "service: trace sharing across geometries" `Quick
       test_trace_sharing;
     Alcotest.test_case "daemon: ill-formed inline program" `Slow

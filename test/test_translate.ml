@@ -145,7 +145,8 @@ let test_profile_counts () =
       ]
   in
   let image = Pf_armgen.Compile.program p in
-  let profile, out = Pf_fits.Profile.profile_run image in
+  let counts, out = Pf_fits.Synthesis.dyn_counts_of_run image in
+  let profile = Pf_fits.Profile.of_image_counts image ~counts in
   Alcotest.(check string) "profiled run output" "45\n" out;
   Alcotest.(check bool) "dynamic >= static" true
     (profile.Pf_fits.Profile.dyn_insns

@@ -137,19 +137,58 @@ let has_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* One copy of the loop body.  [Pf_cpu.Step.step] is the only
-   per-instruction body of a fast run and [Pf_cpu.Cexec.run] the only
-   block driver; they are where micro-ops execute.  A [Pexec.exec] or
-   [Pexec.exec_dp_nr] call anywhere else in lib/ is a second copy of the
-   loop, whose watchdog, faults and pipeline issue would drift from the
-   first with only tests to notice.  The reference interpreters execute
-   through [Exec], not [Pexec], and stay independent by construction. *)
-let exec_owners = [ "lib/arm/pexec.ml"; "lib/cpu/step.ml"; "lib/cpu/cexec.ml" ]
+(* Owner table: functions in lib/ that only some files may call.  A row
+   names the module by its library path, the owned functions, the files
+   allowed to call them and why.  A call counts however it is spelled:
+   qualified ([Pf_cpu.Arm_run.run] or [Arm_run.run]) or through a module
+   alias ([module A = Pf_cpu.Arm_run] ... [A.run]); a local open of the
+   module is refused outright, since the calls under it are bare. *)
+type owned = {
+  path : string;
+  fns : string list;
+  owners : string list;
+  reason : string;
+}
 
-let exec_reason =
-  "micro-ops execute only in Pf_cpu.Step (per instruction) and \
-   Pf_cpu.Cexec (per block); drive a Step.t instead of writing another \
-   loop body"
+let flow_reason =
+  "the timed program flow has one product, Pf_dse.Explore's recording; \
+   read its ARM half (record_arm) instead of running or profiling the \
+   program again"
+
+let owned =
+  [
+    (* One copy of the loop body.  [Pf_cpu.Step.step] is the only
+       per-instruction body of a fast run and [Pf_cpu.Cexec.run] the
+       only block driver; they are where micro-ops execute.  A call
+       anywhere else is a second copy of the loop, whose watchdog, faults
+       and pipeline issue would drift from the first with only tests to
+       notice.  The reference interpreters execute through [Exec], not
+       [Pexec], and stay independent by construction. *)
+    {
+      path = "Pf_arm.Pexec";
+      fns = [ "exec"; "exec_dp_nr" ];
+      owners = [ "lib/arm/pexec.ml"; "lib/cpu/step.ml"; "lib/cpu/cexec.ml" ];
+      reason =
+        "micro-ops execute only in Pf_cpu.Step (per instruction) and \
+         Pf_cpu.Cexec (per block); drive a Step.t instead of writing \
+         another loop body";
+    };
+    (* One program flow.  A timed ARM run and a profile taken from its
+       trace are the recording's ARM half; any other copy is the hand-
+       written compile -> profile -> run chain coming back. *)
+    {
+      path = "Pf_cpu.Arm_run";
+      fns = [ "run" ];
+      owners = [ "lib/dse/explore.ml" ];
+      reason = flow_reason;
+    };
+    {
+      path = "Pf_cpu.Trace";
+      fns = [ "exec_counts" ];
+      owners = [ "lib/dse/explore.ml" ];
+      reason = flow_reason;
+    };
+  ]
 
 (* Blank out comments, keeping newlines so line numbers survive: the
    exec rule reads code, and documentation may name [Pexec.exec]. *)
@@ -199,44 +238,74 @@ let strip_comments s =
   done;
   Bytes.to_string b
 
-(* Module names bound to Pexec in [lines] (e.g. [module Px = Pf_arm.Pexec]),
-   plus Pexec itself. *)
-let pexec_names lines =
-  "Pexec"
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+(* [sub] occurs in [s] as a whole token: where [sub] starts or ends with
+   an identifier character, no identifier character touches it there. *)
+let has_token ~sub s =
+  let n = String.length sub and m = String.length s in
+  let edge i = i < 0 || i >= m || not (is_ident_char s.[i]) in
+  let rec go i =
+    i + n <= m
+    && (String.sub s i n = sub
+        && ((not (is_ident_char sub.[0])) || edge (i - 1))
+        && ((not (is_ident_char sub.[n - 1])) || edge (i + n))
+       || go (i + 1))
+  in
+  go 0
+
+(* The names [code] can reach module [path] by: its own name, plus any
+   module alias bound to it (e.g. [module Px = Pf_arm.Pexec]). *)
+let module_names ~path code =
+  let own = List.hd (List.rev (String.split_on_char '.' path)) in
+  own
   :: List.filter_map
        (fun line ->
          Scanf.sscanf_opt line " module %s@= %s" (fun m rhs ->
-             if rhs = "Pf_arm.Pexec" || rhs = "Pexec" then Some (String.trim m)
-             else None)
+             if rhs = path || rhs = own then Some (String.trim m) else None)
          |> Option.join)
-       lines
+       code
 
-let check_exec_owners root files violations =
+let check_owners root files violations =
   List.iter
     (fun file ->
-      if
-        Filename.check_suffix file ".ml"
-        && not (List.exists (fun o -> Filename.check_suffix file o) exec_owners)
-      then begin
+      if Filename.check_suffix file ".ml" then begin
         let code =
-          In_channel.with_open_text (Filename.concat root file)
-            In_channel.input_all
-          |> strip_comments |> String.split_on_char '\n'
+          lazy
+            (In_channel.with_open_text (Filename.concat root file)
+               In_channel.input_all
+            |> strip_comments |> String.split_on_char '\n')
         in
-        let names = pexec_names code in
-        let patterns =
-          [ "open Pf_arm.Pexec"; "open Pexec"; "Pexec.(" ]
-          @ List.map (fun m -> m ^ ".exec") names
-        in
-        List.iteri
-          (fun i line ->
-            match List.find_opt (fun sub -> has_sub ~sub line) patterns with
-            | Some pat ->
-                Printf.eprintf "%s:%d: `%s' — %s\n" file (i + 1) pat
-                  exec_reason;
-                incr violations
-            | None -> ())
-          code
+        List.iter
+          (fun row ->
+            if
+              not
+                (List.exists (fun o -> Filename.check_suffix file o) row.owners)
+            then begin
+              let code = Lazy.force code in
+              let names = module_names ~path:row.path code in
+              let own = List.hd names in
+              let patterns =
+                [ "open " ^ row.path; "open " ^ own; own ^ ".(" ]
+                @ List.concat_map
+                    (fun m -> List.map (fun f -> m ^ "." ^ f) row.fns)
+                    names
+              in
+              List.iteri
+                (fun i line ->
+                  match
+                    List.find_opt (fun sub -> has_token ~sub line) patterns
+                  with
+                  | Some pat ->
+                      Printf.eprintf "%s:%d: `%s' — %s\n" file (i + 1) pat
+                        row.reason;
+                      incr violations
+                  | None -> ())
+                code
+            end)
+          owned
       end)
     files
 
@@ -280,7 +349,7 @@ let () =
   let violations = ref 0 in
   let lib_files = source_files (Filename.concat root "lib") in
   check_interfaces root lib_files violations;
-  check_exec_owners root lib_files violations;
+  check_owners root lib_files violations;
   List.iter
     (fun file ->
       let ic = open_in (Filename.concat root file) in
