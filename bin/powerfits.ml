@@ -609,12 +609,6 @@ let explore_cmd =
              ~doc:"Write every evaluated point as CSV to FILE ($(b,-) for \
                    stdout).")
   in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the full result as JSON to FILE ($(b,-) for \
-                   stdout).")
-  in
   let paper_tag (p : D.Explore.point) =
     match p.D.Explore.variant with
     | D.Explore.Arm -> D.Space.paper_point ~arm:true p.D.Explore.geometry
@@ -747,7 +741,7 @@ let explore_cmd =
         "cross-check: %d points bit-identical to the replay oracle\n%!"
         !compared
   in
-  let run grid benchmarks scale max_steps jobs do_cross csv json =
+  let run grid benchmarks scale max_steps jobs do_cross csv =
     let jobs = resolve_jobs jobs in
     let space =
       match D.Space.of_string grid with
@@ -764,17 +758,14 @@ let explore_cmd =
     in
     Printf.eprintf "%s\n%!" (D.Explore.banner t);
     if do_cross then cross_check ~scale ~max_steps ~jobs ~benches space t;
-    let emit what path content =
-      match path with
-      | "-" -> print_string content
-      | path ->
-          (* atomic publication: a crash (or a concurrent reader) never
-             sees a torn artifact *)
-          Pf_util.Atomic_file.write ~path content;
-          Printf.eprintf "explore: wrote %s to %s\n%!" what path
-    in
-    Option.iter (fun p -> emit "CSV" p (D.Explore.to_csv t)) csv;
-    Option.iter (fun p -> emit "JSON" p (D.Explore.to_json t)) json;
+    (match csv with
+    | None -> ()
+    | Some "-" -> print_string (D.Explore.to_csv t)
+    | Some path ->
+        (* atomic publication: a crash (or a concurrent reader) never
+           sees a torn artifact *)
+        Pf_util.Atomic_file.write ~path (D.Explore.to_csv t);
+        Printf.eprintf "explore: wrote CSV to %s\n%!" path);
     (match D.Explore.aggregate t with
     | [] -> ()
     | agg ->
@@ -850,7 +841,7 @@ let explore_cmd =
           Pareto frontiers with the paper's four configurations \
           annotated.")
     Term.(const run $ grid_arg $ benchmarks_arg $ scale_arg $ max_steps_arg
-          $ jobs_arg $ cross_check_arg $ csv_arg $ json_arg)
+          $ jobs_arg $ cross_check_arg $ csv_arg)
 
 (* ---- serve ---- *)
 

@@ -511,103 +511,3 @@ let to_csv t =
       let front = frontier_of pts in
       List.iter (csv_point buf ~group:"suite" front) pts);
   Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_point buf front (p : point) =
-  let m = p.metrics in
-  let pw = m.power in
-  Printf.bprintf buf
-    "{\"variant\": \"%s\", \"size_bytes\": %d, \"block_bytes\": %d, \
-     \"assoc\": %d, \"instructions\": %d, \"cycles\": %d, \"ipc\": %s, \
-     \"fetch_accesses\": %d, \"cache_accesses\": %d, \"cache_misses\": %d, \
-     \"miss_rate_pm\": %s, \"dcache_miss_rate_pm\": %s, \"e_switching\": %s, \
-     \"e_internal\": %s, \"e_leakage\": %s, \"e_total\": %s, \
-     \"avg_power\": %s, \"peak_power\": %s, \"gates\": %d, \"pareto\": %s}"
-    (variant_label p.variant)
-    p.geometry.Pf_cache.Icache.size_bytes
-    p.geometry.Pf_cache.Icache.block_bytes
-    p.geometry.Pf_cache.Icache.assoc m.instructions m.cycles (f17 m.ipc)
-    m.fetch_accesses m.cache_accesses m.cache_misses (f17 m.miss_rate_pm)
-    (f17 m.dcache_miss_rate_pm)
-    (f17 pw.Pf_power.Account.switching)
-    (f17 pw.Pf_power.Account.internal)
-    (f17 pw.Pf_power.Account.leakage)
-    (f17 pw.Pf_power.Account.total)
-    (f17 (Pf_power.Account.avg_power pw))
-    (f17 pw.Pf_power.Account.peak_power)
-    m.gate_count
-    (if on_frontier front p then "true" else "false")
-
-let json_points buf pts =
-  let front = frontier_of pts in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ", ";
-      json_point buf front p)
-    pts;
-  Buffer.add_string buf "]"
-
-let to_json t =
-  let buf = Buffer.create 8192 in
-  Printf.bprintf buf "{\n  \"schema\": 1,\n  \"jobs\": %d,\n  \"engine\": \"%s\",\n"
-    t.jobs
-    (Space.engine_label t.engine);
-  Printf.bprintf buf "  \"geometries\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun g -> Printf.sprintf "\"%s\"" (Space.label g))
-          t.geometries));
-  Printf.bprintf buf "  \"variants\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun v -> Printf.sprintf "\"%s\"" (variant_label v))
-          t.variants));
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  let first = ref true in
-  List.iter
-    (fun br ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      Printf.bprintf buf
-        "    {\"name\": \"%s\", \"category\": \"%s\", \
-         \"outputs_consistent\": %b, \"replayed_events\": %d, \"points\": "
-        (json_escape br.name) (json_escape br.category) br.outputs_consistent
-        br.replayed_events;
-      json_points buf br.points;
-      Buffer.add_string buf "}")
-    (completed_runs t);
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"failed\": [";
-  let firstf = ref true in
-  List.iter
-    (fun r ->
-      match r.outcome with
-      | Ok _ -> ()
-      | Error e ->
-          if not !firstf then Buffer.add_string buf ", ";
-          firstf := false;
-          Printf.bprintf buf "{\"bench\": \"%s\", \"error\": \"%s\"}"
-            (json_escape r.bench)
-            (json_escape (Sim_error.to_string e)))
-    t.rows;
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf "  \"suite\": ";
-  (match aggregate t with
-  | [] -> Buffer.add_string buf "[]"
-  | pts -> json_points buf pts);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf

@@ -225,7 +225,3 @@ val to_csv : t -> string
 (** One row per (benchmark, variant, geometry) plus a ["suite"] aggregate
     group; the [pareto] column marks frontier membership within each
     group.  Floats print with ["%.17g"] (lossless round-trip). *)
-
-val to_json : t -> string
-(** Same content as {!to_csv}, as a single JSON document with per-
-    benchmark point arrays, the suite aggregate, and failed rows. *)

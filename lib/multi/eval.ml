@@ -11,49 +11,45 @@ let isa_label = function
 
 type cell = {
   cell_isa : isa;
-  fits16 : E.per_config;
   fits8 : E.per_config;
   static_map_pct : float;
   dyn_map_pct : float;
   code_fits : int;
   dict_entries : int;
   spilled_imms : int;
+  reload_bits : int;
   output_ok : bool;
 }
 
-(* One (program, spec) evaluation: translate under the spec, execute the
-   FITS16 configuration recording a trace, replay it through the 8 KB
-   cache, and cross-check both outputs against the profiling reference.
-   [spilled_imms] counts the dictionary entries translation had to append
-   beyond the spec's own dictionary — the per-program reloadable tail. *)
-let eval_cell ~isa spec (p : Suite.prepared) =
+(* One (program, spec) evaluation: translate under the spec, run the
+   FITS8 configuration once, and cross-check its output against the
+   profiling reference.  [spilled_imms] counts the dictionary entries
+   translation had to append beyond the spec's own dictionary — the
+   per-program reloadable tail, whose size in bits is [reload_bits]. *)
+let eval_cell ?max_steps ~isa spec (p : Suite.prepared) =
   let tr = Pf_fits.Translate.translate spec p.Suite.image in
-  let trace = Pf_cpu.Trace.create ~isize:2 () in
-  let r16 = Pf_fits.Run.run ~cache_cfg:E.cache_16k ~trace tr in
-  let r8 = Pf_fits.Run.replay ~cache_cfg:E.cache_8k ~like:r16 tr trace in
+  let r8 = Pf_fits.Run.run ~cache_cfg:E.cache_8k ?max_steps tr in
   let dict_entries =
     Array.length tr.Pf_fits.Translate.spec.Pf_fits.Spec.dict
   in
   {
     cell_isa = isa;
-    fits16 = X.metrics_of_fits E.cache_16k r16;
     fits8 = X.metrics_of_fits E.cache_8k r8;
     static_map_pct = Pf_fits.Translate.static_mapping_rate tr;
-    dyn_map_pct = r16.Pf_fits.Run.dyn_one_to_one_pct;
+    dyn_map_pct = r8.Pf_fits.Run.dyn_one_to_one_pct;
     code_fits =
       tr.Pf_fits.Translate.stats.Pf_fits.Translate.code_bytes_fits;
     dict_entries;
     spilled_imms =
       max 0 (dict_entries - Array.length spec.Pf_fits.Spec.dict);
-    output_ok =
-      r16.Pf_fits.Run.output = p.Suite.reference_output
-      && r8.Pf_fits.Run.output = p.Suite.reference_output;
+    reload_bits =
+      tr.Pf_fits.Translate.reload.Pf_fits.Translate.reload_bits;
+    output_ok = r8.Pf_fits.Run.output = p.Suite.reference_output;
   }
 
 type row = {
   r_bench : string;
-  r_category : string;
-  r_code_arm : int;
+  r_prepared : Suite.prepared;
   r_arm16 : E.per_config;
   r_per_app : cell;
   r_shared : cell;
@@ -74,6 +70,8 @@ type campaign = {
   c_loo : bool;
 }
 
+(* Weighting validation is deliberately skipped here: a Custom scheme
+   still (correctly) names the held-out program. *)
 let loo_spec ~weighting ~dict_budget ps held_out =
   let rest = List.filter (fun q -> Suite.name q <> held_out) ps in
   let syn =
@@ -83,56 +81,61 @@ let loo_spec ~weighting ~dict_budget ps held_out =
   syn.Pf_fits.Synthesis.spec
 
 let run ?(weighting = Weighting.Dyn_count)
-    ?(dict_budget = Suite.default_dict_budget) ?(loo = false) ?scale ?jobs
-    benches =
+    ?(dict_budget = Suite.default_dict_budget) ?(loo = false) ?scale
+    ?max_steps ?jobs benches =
   let jobs =
     match jobs with
     | Some j -> max 1 j
     | None -> Pf_util.Pool.default_jobs ()
   in
-  let prepared = Suite.prepare ?scale ~jobs benches in
-  let ps = List.map fst prepared in
-  let shared = Suite.synthesize_shared ~weighting ~dict_budget ps in
-  (* Leave-one-out specs are synthesized in parallel: each is a fresh
-     suite synthesis over the other programs, with the same weighting and
-     dictionary budget as the full-suite spec.  Weighting validation is
-     deliberately skipped here — a Custom scheme still (correctly) names
-     the held-out program. *)
-  let loo_specs =
-    if not loo then List.map (fun _ -> None) ps
-    else
-      Pf_util.Pool.map ~jobs
-        (fun p ->
-          Some (loo_spec ~weighting ~dict_budget ps (Suite.name p)))
-        ps
+  let protect (b : Pf_mibench.Registry.benchmark) f =
+    Pf_util.Sim_error.protect ~where:("multi." ^ b.Pf_mibench.Registry.name) f
   in
+  (* A program whose preparation fails is a failed row; the shared and
+     leave-one-out syntheses read only the programs that prepared. *)
+  let prepared =
+    Pf_util.Pool.map ~jobs
+      (fun b -> protect b (fun () -> Suite.prepare ?scale ?max_steps b))
+      benches
+  in
+  let ps =
+    List.filter_map
+      (function Ok (p, _) -> Some p | Error _ -> None)
+      prepared
+  in
+  if ps = [] then
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+      ~where:"multi.eval" "none of the %d programs prepared"
+      (List.length benches);
+  let shared = Suite.synthesize_shared ~weighting ~dict_budget ps in
   let rows =
     Pf_util.Pool.map ~jobs
-      (fun ((p, arm16_r), lspec) ->
-        let bench = Suite.name p in
+      (fun (b, prep) ->
         let outcome =
-          Pf_util.Sim_error.protect ~where:("multi." ^ bench) (fun () ->
-              let syn =
-                Pf_fits.Synthesis.synthesize p.Suite.image
-                  ~dyn_counts:p.Suite.dyn_counts
-              in
-              let per_app =
-                eval_cell ~isa:Per_app syn.Pf_fits.Synthesis.spec p
-              in
-              let shared_c = eval_cell ~isa:Shared shared.Suite.spec p in
-              let loo_c = Option.map (fun s -> eval_cell ~isa:Loo s p) lspec in
-              {
-                r_bench = bench;
-                r_category = p.Suite.bench.Pf_mibench.Registry.category;
-                r_code_arm = Pf_arm.Image.code_size_bytes p.Suite.image;
-                r_arm16 = X.metrics_of_arm E.cache_16k arm16_r;
-                r_per_app = per_app;
-                r_shared = shared_c;
-                r_loo = loo_c;
-              })
+          Result.bind prep (fun (p, arm16_r) ->
+              protect b (fun () ->
+                  let cell isa spec = eval_cell ?max_steps ~isa spec p in
+                  let syn =
+                    Pf_fits.Synthesis.synthesize p.Suite.image
+                      ~dyn_counts:p.Suite.dyn_counts
+                  in
+                  {
+                    r_bench = Suite.name p;
+                    r_prepared = p;
+                    r_arm16 = X.metrics_of_arm E.cache_16k arm16_r;
+                    r_per_app = cell Per_app syn.Pf_fits.Synthesis.spec;
+                    r_shared = cell Shared shared.Suite.spec;
+                    r_loo =
+                      (if loo then
+                         Some
+                           (cell Loo
+                              (loo_spec ~weighting ~dict_budget ps
+                                 (Suite.name p)))
+                       else None);
+                  }))
         in
-        { ro_bench = bench; ro_outcome = outcome })
-      (List.combine prepared loo_specs)
+        { ro_bench = b.Pf_mibench.Registry.name; ro_outcome = outcome })
+      (List.combine benches prepared)
   in
   let completed =
     List.fold_left
@@ -174,8 +177,7 @@ let divergent c =
 
 (* ---- reporting --------------------------------------------------------- *)
 
-let avg_power (p : E.per_config) =
-  p.E.power.Pf_power.Account.total /. float_of_int p.E.cycles
+let avg_power (p : E.per_config) = Pf_power.Account.avg_power p.E.power
 
 (* FITS8 total I-cache power saving vs the program's own ARM16 baseline —
    the figure-11 metric, which is where a shared ISA's degradation shows. *)
@@ -267,7 +269,9 @@ let figures c =
   [
     fig ~id:"multi-code" ~title:"Code size footprint (normalized to ARM)"
       ~unit_:"%" (fun row cl ->
-        100.0 *. float_of_int cl.code_fits /. float_of_int row.r_code_arm);
+        100.0 *. float_of_int cl.code_fits
+        /. float_of_int
+             (Pf_arm.Image.code_size_bytes row.r_prepared.Suite.image));
     fig ~id:"multi-power" ~title:"Total I-cache power saving (FITS8 vs ARM16)"
       ~unit_:"%" power_saving_pct;
     fig ~id:"multi-miss" ~title:"I-cache miss rate (FITS8)"

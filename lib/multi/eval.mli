@@ -5,9 +5,11 @@
     cannot: how much of the paper's power saving survives when one
     synthesized ISA must serve a whole suite ({e shared}), and how well
     such an ISA generalizes to a program that was excluded from its
-    synthesis ({e leave-one-out}).  Every cell reuses the trace-once/
-    replay-many scheme (one FITS16 execution, one 8 KB replay) and
-    cross-checks program output against the profiling reference. *)
+    synthesis ({e leave-one-out}).  It is the one multi-program campaign:
+    [powerfits multi] reports it over registry benchmarks, and
+    {!Pf_workgen.Population} over a generated population.  Every cell is
+    one translation plus one direct FITS8 run, cross-checked against the
+    profiling reference output. *)
 
 type isa = Per_app | Shared | Loo
 
@@ -16,25 +18,29 @@ val isa_label : isa -> string
 (** One (program, spec) evaluation. *)
 type cell = {
   cell_isa : isa;
-  fits16 : Pf_harness.Experiment.per_config;
   fits8 : Pf_harness.Experiment.per_config;
   static_map_pct : float;
   dyn_map_pct : float;
   code_fits : int;
   dict_entries : int;   (** after per-program dictionary extension *)
   spilled_imms : int;   (** entries appended beyond the spec's dictionary *)
-  output_ok : bool;     (** both runs matched the profiling reference *)
+  reload_bits : int;
+      (** the per-program data-plane tail, in bits
+          ({!Pf_fits.Translate.reload}) *)
+  output_ok : bool;     (** the run matched the profiling reference *)
 }
 
-val eval_cell : isa:isa -> Pf_fits.Spec.t -> Suite.prepared -> cell
-(** Translate the program under [spec], execute FITS16 recording a trace,
-    replay FITS8, cross-check outputs.  Deterministic: equal inputs give
-    a bit-identical cell (the differential test relies on this). *)
+val eval_cell :
+  ?max_steps:int -> isa:isa -> Pf_fits.Spec.t -> Suite.prepared -> cell
+(** Translate the program under [spec], run it once at 8 KB under the
+    step budget [max_steps], cross-check its output.  Records no trace.
+    Deterministic: equal inputs give a bit-identical cell (the
+    differential test relies on this).  Unprotected. *)
 
 type row = {
   r_bench : string;
-  r_category : string;
-  r_code_arm : int;
+  r_prepared : Suite.prepared;
+      (** the program's prepared view, for readers that re-evaluate it *)
   r_arm16 : Pf_harness.Experiment.per_config;  (** power baseline *)
   r_per_app : cell;
   r_shared : cell;
@@ -66,17 +72,22 @@ val run :
   ?dict_budget:int ->
   ?loo:bool ->
   ?scale:int ->
+  ?max_steps:int ->
   ?jobs:int ->
   Pf_mibench.Registry.benchmark list ->
   campaign
 (** Full campaign: prepare each benchmark once, synthesize the shared
-    spec (plus one leave-one-out spec per program when [loo]), then
-    evaluate every program under its per-app, the shared, and (when
-    [loo]) its leave-one-out ISA.  Each program's evaluation is isolated
-    behind {!Pf_util.Sim_error.protect}.  All three stages run on an
-    order-preserving domain pool: results are bit-identical for every
-    [jobs] value.  Defaults: [Dyn_count] weighting,
-    {!Suite.default_dict_budget}, no LOO, scale 1. *)
+    spec, then evaluate every program under its per-app, the shared, and
+    (when [loo]) its leave-one-out ISA.  [max_steps] bounds every run.
+    Preparation and each program's evaluation are isolated behind
+    {!Pf_util.Sim_error.protect}: a program that fails either is an
+    [Error] row, and the shared and leave-one-out syntheses read only the
+    programs that prepared.  Both stages run on an order-preserving
+    domain pool: results are bit-identical for every [jobs] value.
+    Defaults: [Dyn_count] weighting, {!Suite.default_dict_budget}, no
+    LOO, scale 1.
+    @raise Pf_util.Sim_error.Error ([Invalid_config]) if no program
+    prepared. *)
 
 val ok_rows : campaign -> row list
 val failed : campaign -> (string * string) list
@@ -85,6 +96,10 @@ val failed : campaign -> (string * string) list
 val divergent : campaign -> string list
 (** Programs with at least one cell whose output mismatched the
     reference. *)
+
+val power_saving_pct : row -> cell -> float
+(** The cell's FITS8 average I-cache power saving over the row's ARM16
+    baseline, in percent ({!Pf_power.Account.avg_power}). *)
 
 val table : campaign -> string
 (** Per-program, per-ISA table: code bytes, static/dynamic 1-to-1 rates,

@@ -22,14 +22,11 @@ let of_recording (r : X.recording) =
     reference_output = r.X.arm.X.arm_result.Pf_cpu.Arm_run.output;
   }
 
-(* Each worker keeps the prepared view and the ARM16 result; the trace
-   is dropped as soon as its counts are taken. *)
-let prepare ?scale ?jobs benches =
-  Pf_util.Pool.map ?jobs
-    (fun b ->
-      let r = X.record_arm ?scale b in
-      (of_recording r, r.X.arm.X.arm_result))
-    benches
+(* Keep the prepared view and the ARM16 result; the trace is dropped as
+   soon as its counts are taken. *)
+let prepare ?scale ?max_steps b =
+  let r = X.record_arm ?scale ?max_steps b in
+  (of_recording r, r.X.arm.X.arm_result)
 
 let multiplier weighting p =
   Weighting.multiplier weighting ~name:(name p)

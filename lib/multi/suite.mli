@@ -25,13 +25,11 @@ val of_recording : Pf_dse.Explore.recording -> prepared
     from its counts. *)
 
 val prepare :
-  ?scale:int -> ?jobs:int -> Pf_mibench.Registry.benchmark list ->
-  (prepared * Pf_cpu.Arm_run.result) list
-(** Record each benchmark's ARM half once (in parallel over [jobs]
-    domains; result order matches input order and is independent of
-    [jobs]), keeping its prepared view and its ARM16 result
-    ({!Pf_dse.Explore.arm_half}'s [arm_result]).  The traces are
-    dropped. *)
+  ?scale:int -> ?max_steps:int -> Pf_mibench.Registry.benchmark ->
+  prepared * Pf_cpu.Arm_run.result
+(** Record the benchmark's ARM half once, keeping its prepared view and
+    its ARM16 result ({!Pf_dse.Explore.arm_half}'s [arm_result]).  The
+    trace is dropped.  Unprotected, like {!Pf_dse.Explore.record_arm}. *)
 
 val multiplier : Weighting.t -> prepared -> int
 (** The integer weight applied to this program's dynamic counts. *)

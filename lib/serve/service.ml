@@ -112,7 +112,11 @@ let cache_key (req : Proto.request) =
         @ [ "isa=" ^ Proto.isa_name req.Proto.isa; geom_line req.Proto.geometry ]
         @ (if req.Proto.isa = Proto.Fits then fits_fields else [])
     | Proto.Explore_point ->
-        common @ [ geom_line req.Proto.geometry ] @ fits_fields
+        (* the action synthesizes with multiplier 1 whatever the
+           request's weighting, so weighting stays out of its key *)
+        common
+        @ [ geom_line req.Proto.geometry;
+            opt_int "dict_budget" req.Proto.dict_budget ]
     | (Proto.Status | Proto.Shutdown) as a ->
         err "action %s has no cache key" (Proto.action_name a)
   in

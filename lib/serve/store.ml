@@ -3,7 +3,6 @@
    Layout:
      <dir>/objects/<md5-of-key>.rec     committed records
      <dir>/quarantine/<name>            records that failed verification
-     <dir>/index.json                   advisory listing, rebuilt on open
 
    Every record is written with {!Pf_util.Atomic_file} (temp + fsync +
    rename), so a crash leaves either the old committed bytes or the new
@@ -31,7 +30,6 @@ type t = {
   log : string -> unit;
   m : Mutex.t;
   mutable quarantined : int;  (* lifetime, including recovery *)
-  mutable puts : int;
   mutable closed : bool;
 }
 
@@ -50,7 +48,6 @@ let err fmt =
 
 let objects_dir t = Filename.concat t.dir "objects"
 let quarantine_dir t = Filename.concat t.dir "quarantine"
-let index_path t = Filename.concat t.dir "index.json"
 let key_hash key = Digest.to_hex (Digest.string key)
 
 let record_path t key =
@@ -142,25 +139,6 @@ let quarantine_locked t ~name ~reason =
   t.log
     (Printf.sprintf "store: quarantined=1 record=%s reason=%s" name reason)
 
-(* ---- index ---- *)
-
-let write_index_locked t =
-  let names =
-    list_dir (objects_dir t)
-    |> List.filter (fun n -> Filename.check_suffix n ".rec")
-  in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.Int 1);
-        ("entries", Json.Int (List.length names));
-        ("quarantined_total", Json.Int t.quarantined);
-        ("records", Json.List (List.map (fun n -> Json.String n) names));
-      ]
-  in
-  Pf_util.Atomic_file.write ~fsync:t.fsync ~path:(index_path t)
-    (Json.to_string json ^ "\n")
-
 (* ---- lifecycle ---- *)
 
 let recover_locked t =
@@ -206,13 +184,10 @@ let open_ ?(fsync = true) ?crash ?(log = fun _ -> ()) dir =
       log;
       m = Mutex.create ();
       quarantined = 0;
-      puts = 0;
       closed = false;
     }
   in
-  let recovery = recover_locked t in
-  write_index_locked t;
-  (t, recovery)
+  (t, recover_locked t)
 
 let locked t f =
   Mutex.lock t.m;
@@ -225,8 +200,7 @@ let put t ~key payload =
       check_open t;
       Pf_util.Atomic_file.write ~fsync:t.fsync ?crash:t.crash
         ~path:(record_path t key)
-        (encode_record ~key payload);
-      t.puts <- t.puts + 1)
+        (encode_record ~key payload))
 
 let get t ~key =
   locked t (fun () ->
@@ -250,8 +224,6 @@ let get t ~key =
               ~reason:"unreadable";
             None)
 
-let mem t ~key = get t ~key <> None
-
 let count t =
   locked t (fun () ->
       list_dir (objects_dir t)
@@ -263,7 +235,6 @@ let quarantined t = locked t (fun () -> t.quarantined)
 let close t =
   locked t (fun () ->
       if not t.closed then begin
-        write_index_locked t;
         if t.fsync then Pf_util.Atomic_file.fsync_dir t.dir;
         t.closed <- true
       end)

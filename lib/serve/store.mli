@@ -29,9 +29,8 @@ val open_ :
   ?log:(string -> unit) ->
   string ->
   t * recovery
-(** [open_ dir] creates the layout if needed, sweeps stale temp files,
-    verifies every record (quarantining failures) and rewrites the
-    advisory index.  [fsync] (default true) governs durability of every
+(** [open_ dir] creates the layout if needed, sweeps stale temp files and
+    verifies every record (quarantining failures).  [fsync] (default true) governs durability of every
     subsequent write; tests pass [false] for speed.  [crash] is threaded
     to {!Pf_util.Atomic_file.write} on every {!put} — the store-fault
     injector's hook.  [log] receives one line per quarantined record. *)
@@ -46,8 +45,6 @@ val get : t -> key:string -> string option
     matches and its embedded key equals [key]; otherwise the record (if
     any) is quarantined and the result is [None]. *)
 
-val mem : t -> key:string -> bool
-
 val count : t -> int
 (** Committed records currently on disk. *)
 
@@ -56,8 +53,8 @@ val quarantined : t -> int
     opening scan). *)
 
 val close : t -> unit
-(** Rewrite and fsync the index, fsync the store directory, and refuse
-    further operations.  Idempotent. *)
+(** Fsync the store directory and refuse further operations.
+    Idempotent. *)
 
 (** {2 Record codec} — exposed for the fault injector and tests. *)
 

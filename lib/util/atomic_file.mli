@@ -2,8 +2,8 @@
     fsync) with injectable crash points.
 
     Every file this repository publishes for later consumption — the
-    artifact-store records and index, the explore [--csv] / [--json]
-    emissions, the loadgen [--json] record, perfbench's span traces —
+    artifact-store records, the explore [--csv] emission, the loadgen
+    [--json] record, perfbench's span traces —
     goes through {!write}, so a crash at any instant leaves either the
     complete old content or the complete new content at [path], never a
     torn mixture.  The only residue a crash can leave is a stale

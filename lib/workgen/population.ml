@@ -1,16 +1,17 @@
-(* Population campaign: generate -> prepare-once -> shared synthesis ->
-   per-row shared/per-app evaluation -> degradation distribution, with
-   optional phase-adaptive data-plane resynthesis on top.  Everything
-   derived is a pure function of (count, seed, dict_budget, max_steps,
-   adaptive); rows run on the Domain pool and come back in input order,
-   so reports are byte-identical for any jobs value. *)
+(* Population campaign: generate -> one multi-program campaign over the
+   generated programs (Pf_multi.Eval: prepare-once, shared synthesis,
+   per-app and shared cells) -> degradation distribution, with optional
+   phase-adaptive data-plane resynthesis on top.  Everything derived is a
+   pure function of (count, seed, dict_budget, max_steps, adaptive); rows
+   run on the Domain pool and come back in input order, so reports are
+   byte-identical for any jobs value. *)
 
 open Pf_util
+module E = Pf_multi.Eval
 
 type row = {
   r_index : int;
   r_name : string;
-  r_arm_insns : int;
   r_steps : int;
   r_per_app_saving : float;
   r_shared_saving : float;
@@ -61,59 +62,6 @@ type t = {
 
 let where = "workgen.population"
 
-(* everything measured about one program before any shared decision *)
-type prep = {
-  p_index : int;
-  p_prepared : Pf_multi.Suite.prepared;
-  p_arm16_power : float;        (* avg power, ARM16 baseline *)
-  p_arm16_insns : int;          (* dynamic source instructions *)
-  p_per_app_saving : float;
-  p_per_app_steps : int;
-  p_per_app_out_ok : bool;
-  p_mix : float array;
-}
-
-let avg_power = Pf_power.Account.avg_power
-
-let prep_one ?max_steps ~index (program : Pf_kir.Ast.program) =
-  let name = Generate.name ~index in
-  let recording =
-    Pf_dse.Explore.record_arm ?max_steps
-      (Pf_mibench.Registry.of_program ~category:"generated" name program)
-  in
-  let prepared = Pf_multi.Suite.of_recording recording in
-  let arm16 = recording.Pf_dse.Explore.arm.Pf_dse.Explore.arm_result in
-  let image = prepared.Pf_multi.Suite.image in
-  let syn =
-    Pf_fits.Synthesis.synthesize image
-      ~dyn_counts:prepared.Pf_multi.Suite.dyn_counts
-  in
-  let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  let fits8 =
-    Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_8k ?max_steps tr
-  in
-  let baseline = avg_power arm16.Pf_cpu.Arm_run.power in
-  {
-    p_index = index;
-    p_prepared = prepared;
-    p_arm16_power = baseline;
-    p_arm16_insns = arm16.Pf_cpu.Arm_run.instructions;
-    p_per_app_saving = Stats.saving ~baseline (avg_power fits8.Pf_fits.Run.power);
-    p_per_app_steps = fits8.Pf_fits.Run.arm_instructions;
-    p_per_app_out_ok =
-      String.equal fits8.Pf_fits.Run.output arm16.Pf_cpu.Arm_run.output;
-    p_mix = Phase.mix_of_profile prepared.Pf_multi.Suite.profile;
-  }
-
-(* shared-spec evaluation of one prepared row *)
-let eval_shared ?max_steps (shared_spec : Pf_fits.Spec.t) (p : prep) =
-  let image = p.p_prepared.Pf_multi.Suite.image in
-  let tr = Pf_fits.Translate.translate shared_spec image in
-  let fits8 =
-    Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_8k ?max_steps tr
-  in
-  (tr.Pf_fits.Translate.reload, fits8)
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -144,6 +92,9 @@ let distribution_of values =
     d_histogram = histogram values;
   }
 
+let energy (cell : E.cell) =
+  cell.E.fits8.Pf_dse.Explore.power.Pf_power.Account.total
+
 let k_refill_per_bit =
   Pf_power.Account.Params.default.Pf_power.Account.Params.k_refill_per_bit
 
@@ -151,20 +102,19 @@ let k_refill_per_bit =
    dynamic memory-op share (ties by index) so behaviourally similar
    workloads arrive clustered — the regime where phase detection pays *)
 let schedule_of rows =
-  let mem_share (r : row) = r.r_mix.(2) +. r.r_mix.(3) in
+  let mem_share ((r : row), _) = r.r_mix.(2) +. r.r_mix.(3) in
   List.sort
     (fun a b ->
       match compare (mem_share b) (mem_share a) with
-      | 0 -> compare a.r_index b.r_index
+      | 0 -> compare (fst a).r_index (fst b).r_index
       | c -> c)
     rows
 
-let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
+(* [rows] pairs each evaluated row with its prepared program *)
+let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec rows =
   let sched = Array.of_list (schedule_of rows) in
   let n = Array.length sched in
-  let prep_by_index = Hashtbl.create n in
-  List.iter (fun p -> Hashtbl.replace prep_by_index p.p_index p) preps;
-  let mixes = Array.map (fun r -> r.r_mix) sched in
+  let mixes = Array.map (fun ((r : row), _) -> r.r_mix) sched in
   let seg = Phase.segment mixes in
   let extents = Phase.phases seg ~n in
   (* per phase: synthesize that phase's data plane from its members, keep
@@ -172,13 +122,9 @@ let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
   let phase_results =
     List.map
       (fun (start, stop) ->
-        let members =
-          Array.to_list (Array.sub sched start (stop - start))
-          |> List.filter_map (fun r -> Hashtbl.find_opt prep_by_index r.r_index)
-        in
+        let members = Array.to_list (Array.sub sched start (stop - start)) in
         let phase_shared =
-          Pf_multi.Suite.synthesize_shared ?dict_budget
-            (List.map (fun p -> p.p_prepared) members)
+          Pf_multi.Suite.synthesize_shared ?dict_budget (List.map snd members)
         in
         let pspec = phase_shared.Pf_multi.Suite.spec in
         let phase_spec =
@@ -188,10 +134,10 @@ let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
         in
         let evals =
           Pool.map ?jobs
-            (fun p ->
-              ( p.p_index,
+            (fun ((r : row), p) ->
+              ( r.r_index,
                 Sim_error.protect ~where (fun () ->
-                    eval_shared ?max_steps phase_spec p) ))
+                    E.eval_cell ?max_steps ~isa:E.Shared phase_spec p) ))
             members
         in
         (phase_spec, evals))
@@ -205,12 +151,15 @@ let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
       List.iter
         (fun (idx, r) ->
           match r with
-          | Ok (reload, fits8) -> Hashtbl.replace ok_adaptive idx (reload, fits8)
+          | Ok cell -> Hashtbl.replace ok_adaptive idx cell
           | Error _ -> ())
         evals)
     phase_results;
   let static_rows =
-    List.filter (fun r -> Hashtbl.mem ok_adaptive r.r_index) rows
+    List.filter_map
+      (fun ((r : row), _) ->
+        if Hashtbl.mem ok_adaptive r.r_index then Some r else None)
+      rows
   in
   let static_tail_bits =
     List.fold_left (fun acc r -> acc + r.r_reload_bits) 0 static_rows
@@ -232,15 +181,13 @@ let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
   in
   let adaptive_tail_bits =
     Hashtbl.fold
-      (fun _ ((reload : Pf_fits.Translate.reload), _) acc ->
-        acc + reload.Pf_fits.Translate.reload_bits)
+      (fun _ (cell : E.cell) acc -> acc + cell.E.reload_bits)
       ok_adaptive 0
   in
   let adaptive_reload_bits = adaptive_table_bits + adaptive_tail_bits in
   let adaptive_energy =
     Hashtbl.fold
-      (fun _ (_, (fits8 : Pf_fits.Run.result)) acc ->
-        acc +. fits8.Pf_fits.Run.power.Pf_power.Account.total)
+      (fun _ (cell : E.cell) acc -> acc +. energy cell)
       ok_adaptive
       (k_refill_per_bit *. float_of_int adaptive_reload_bits)
   in
@@ -254,16 +201,40 @@ let run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows =
     a_adaptive_reload_bits = adaptive_reload_bits;
   }
 
+(* A population row is a projection of the campaign row at [index]: the
+   savings, the shared cell's mapping, tail and energy, and the opcode
+   mix of the prepared program's profile. *)
+let row_of index (c : E.row) =
+  let per_app = E.power_saving_pct c c.E.r_per_app
+  and shared = E.power_saving_pct c c.E.r_shared in
+  let sh = c.E.r_shared in
+  let insns (m : Pf_dse.Explore.metrics) = m.Pf_dse.Explore.instructions in
+  {
+    r_index = index;
+    r_name = c.E.r_bench;
+    r_steps =
+      insns c.E.r_arm16 + insns c.E.r_per_app.E.fits8 + insns sh.E.fits8;
+    r_per_app_saving = per_app;
+    r_shared_saving = shared;
+    r_degradation_pp = per_app -. shared;
+    r_static_map_pct = sh.E.static_map_pct;
+    r_spilled = sh.E.spilled_imms;
+    r_reload_bits = sh.E.reload_bits;
+    r_shared_energy = energy sh;
+    r_mix = Phase.mix_of_profile c.E.r_prepared.Pf_multi.Suite.profile;
+    r_output_ok = c.E.r_per_app.E.output_ok && sh.E.output_ok;
+  }
+
 let run ?jobs ?dict_budget ?max_steps ?(adaptive = false) ~count ~seed () =
   if count < 1 then
     Sim_error.raisef Sim_error.Invalid_config ~where
       "population count must be positive (got %d)" count;
-  let jobs_v = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let model = Calibrate.reference () in
   let t0 = Unix.gettimeofday () in
-  let indices = List.init count Fun.id in
   let programs =
-    Pool.map ?jobs (fun index -> Generate.program ~model ~seed ~index) indices
+    Pool.map ?jobs
+      (fun index -> Generate.program ~model ~seed ~index)
+      (List.init count Fun.id)
   in
   let digest = Generate.digest programs in
   let feats =
@@ -272,102 +243,39 @@ let run ?jobs ?dict_budget ?max_steps ?(adaptive = false) ~count ~seed () =
   let calib_max_distance = Calibrate.max_distance ~reference:model feats in
   let calib_report = Calibrate.report ~reference:model feats in
   let t1 = Unix.gettimeofday () in
-  (* prepare every program once, isolated *)
-  let prep_results =
-    Pool.map ?jobs
-      (fun (index, program) ->
-        ( index,
-          Sim_error.protect ~where (fun () -> prep_one ?max_steps ~index program)
-        ))
-      (List.combine indices programs)
+  let campaign =
+    E.run ?dict_budget ?max_steps ?jobs
+      (List.mapi
+         (fun index program ->
+           Pf_mibench.Registry.of_program ~category:"generated"
+             (Generate.name ~index) program)
+         programs)
   in
-  let preps =
-    List.filter_map (fun (_, r) -> Result.to_option r) prep_results
+  let evaluated, failures =
+    List.mapi
+      (fun index ro ->
+        match ro.E.ro_outcome with
+        | Ok c -> Either.Left (row_of index c, c.E.r_prepared)
+        | Error e -> Either.Right (index, Sim_error.to_string e))
+      campaign.E.c_rows
+    |> List.partition_map Fun.id
   in
-  let prep_failures =
-    List.filter_map
-      (fun (i, r) ->
-        match r with
-        | Ok _ -> None
-        | Error e -> Some (i, Sim_error.to_string e))
-      prep_results
-  in
-  if preps = [] then
-    Sim_error.raisef Sim_error.Invalid_config ~where
-      "every row of the population failed preparation";
-  let shared =
-    Pf_multi.Suite.synthesize_shared ?dict_budget
-      (List.map (fun p -> p.p_prepared) preps)
-  in
-  let shared_spec = shared.Pf_multi.Suite.spec in
-  let coverage = Array.of_list shared.Pf_multi.Suite.coverage in
-  let shared_evals =
-    Pool.map ?jobs
-      (fun p ->
-        ( p,
-          Sim_error.protect ~where (fun () ->
-              eval_shared ?max_steps shared_spec p) ))
-      preps
-  in
-  let rows = ref [] in
-  let eval_failures = ref [] in
-  List.iteri
-    (fun pos (p, r) ->
-      match r with
-      | Error e ->
-          eval_failures := (p.p_index, Sim_error.to_string e) :: !eval_failures
-      | Ok ((reload : Pf_fits.Translate.reload), fits8) ->
-          let cov = coverage.(pos) in
-          let shared_saving =
-            Stats.saving ~baseline:p.p_arm16_power
-              (avg_power fits8.Pf_fits.Run.power)
-          in
-          let out_ok =
-            p.p_per_app_out_ok
-            && String.equal fits8.Pf_fits.Run.output
-                 p.p_prepared.Pf_multi.Suite.reference_output
-          in
-          rows :=
-            {
-              r_index = p.p_index;
-              r_name = Pf_multi.Suite.name p.p_prepared;
-              r_arm_insns =
-                (Array.length p.p_prepared.Pf_multi.Suite.image.Pf_arm.Image.words);
-              r_steps =
-                p.p_arm16_insns + p.p_per_app_steps
-                + fits8.Pf_fits.Run.arm_instructions;
-              r_per_app_saving = p.p_per_app_saving;
-              r_shared_saving = shared_saving;
-              r_degradation_pp = p.p_per_app_saving -. shared_saving;
-              r_static_map_pct = cov.Pf_multi.Suite.static_map_pct;
-              r_spilled = cov.Pf_multi.Suite.spilled_imms;
-              r_reload_bits = reload.Pf_fits.Translate.reload_bits;
-              r_shared_energy =
-                fits8.Pf_fits.Run.power.Pf_power.Account.total;
-              r_mix = p.p_mix;
-              r_output_ok = out_ok;
-            }
-            :: !rows)
-    shared_evals;
-  let rows = List.rev !rows in
-  let failures =
-    List.sort compare (prep_failures @ !eval_failures)
-  in
+  let rows = List.map fst evaluated in
   let dist =
     distribution_of
       (Array.of_list (List.map (fun r -> r.r_degradation_pp) rows))
   in
+  let shared_spec = campaign.E.c_shared.Pf_multi.Suite.spec in
   let adaptive_r =
     if adaptive && rows <> [] then
-      Some
-        (run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec ~preps rows)
+      Some (run_adaptive ?jobs ?dict_budget ?max_steps ~shared_spec evaluated)
     else None
   in
   let eval_s = Unix.gettimeofday () -. t1 in
   {
     count;
     seed;
-    jobs = jobs_v;
+    jobs = campaign.E.c_jobs;
     digest;
     calib_max_distance;
     calib_report;

@@ -1,14 +1,16 @@
 (** Population-scale shared-ISA campaigns over generated workloads.
 
     [run ~count ~seed ()] generates [count] calibrated programs
-    ({!Generate}), prepares each one exactly once (compile, one traced
-    ARM16 execution that doubles as power baseline and profiling run),
-    synthesizes one shared FITS ISA over the whole population
-    ({!Pf_multi.Suite.synthesize_shared}), and measures every program's
-    FITS8 power saving under its own per-application ISA and under the
-    shared one — the population-scale version of the paper's
-    multi-program degradation question, reported as a distribution
-    (histogram, p50/p95/max) instead of 21 table rows.
+    ({!Generate}) and runs the one multi-program campaign,
+    {!Pf_multi.Eval.run}, over them: each program is prepared once
+    (compile, one traced ARM16 execution that doubles as power baseline
+    and profiling run), one shared FITS ISA is synthesized over every
+    program that prepared, and every program's FITS8 power saving is
+    measured under its own per-application ISA and under the shared one —
+    the population-scale version of the paper's multi-program degradation
+    question, reported as a distribution (histogram, p50/p95/max) instead
+    of 21 table rows.  A population {!row} is a projection of the
+    campaign's row.
 
     Rows are generated and evaluated on a {!Pf_util.Pool} of worker
     domains; every derived number, and the whole {!report} string, is a
@@ -33,7 +35,6 @@
 type row = {
   r_index : int;
   r_name : string;
-  r_arm_insns : int;          (** static ARM instructions *)
   r_steps : int;              (** source instructions simulated (all runs) *)
   r_per_app_saving : float;   (** FITS8-vs-ARM16 avg-power saving, own ISA *)
   r_shared_saving : float;    (** same under the population-shared ISA *)
@@ -93,7 +94,7 @@ val run :
   unit ->
   t
 (** @raise Pf_util.Sim_error.Error ([Invalid_config]) for [count < 1] or
-    if every row failed preparation. *)
+    if every program failed preparation. *)
 
 val report : t -> string
 (** The deterministic stdout report: digest, calibration, shared-ISA

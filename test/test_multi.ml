@@ -1,8 +1,8 @@
 (* Multi-program synthesis: profile-algebra laws (QCheck), shared-ISA
-   determinism across worker-domain counts, and the leave-one-out
+   determinism across worker-domain counts, the leave-one-out
    differential check — a LOO campaign cell must be bit-identical to a
    direct per-app-style simulation of the held-out program under the same
-   spec. *)
+   spec — and isolation of a program that fails preparation. *)
 
 module P = Pf_fits.Profile
 module S = Pf_multi.Suite
@@ -12,7 +12,7 @@ module W = Pf_multi.Weighting
 let small_suite =
   List.map Pf_mibench.Registry.find_exn [ "crc32"; "bitcount"; "stringsearch" ]
 
-let prepared = lazy (List.map fst (S.prepare ~jobs:1 small_suite))
+let prepared = lazy (List.map (fun b -> fst (S.prepare b)) small_suite)
 
 (* ---- profile-algebra laws ---------------------------------------------- *)
 
@@ -125,9 +125,9 @@ let test_jobs_determinism () =
 
 (* ---- leave-one-out differential ---------------------------------------- *)
 
-(* The campaign evaluates the held-out program via translate + FITS16 run
-   + 8 KB trace replay.  A direct simulation under the same spec — the
-   per-application flow's shape — must agree bit for bit. *)
+(* The campaign evaluates the held-out program via translate + one FITS8
+   run.  A direct simulation under the same spec — the per-application
+   flow's shape — must agree bit for bit. *)
 let test_loo_differential () =
   let ps = Lazy.force prepared in
   let held = List.hd ps in
@@ -139,18 +139,38 @@ let test_loo_differential () =
   Alcotest.(check bool) "LOO cell output matches reference" true
     cell.E.output_ok;
   let tr = Pf_fits.Translate.translate spec held.S.image in
-  let direct16 =
-    Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_16k tr
-  in
   let direct8 =
     Pf_fits.Run.run ~cache_cfg:Pf_harness.Experiment.cache_8k tr
   in
-  Alcotest.(check bool) "FITS16 cell = direct simulation" true
-    (Pf_dse.Explore.metrics_of_fits Pf_harness.Experiment.cache_16k direct16
-    = cell.E.fits16);
-  Alcotest.(check bool) "FITS8 replay cell = direct simulation" true
+  Alcotest.(check bool) "FITS8 cell = direct simulation" true
     (Pf_dse.Explore.metrics_of_fits Pf_harness.Experiment.cache_8k direct8
     = cell.E.fits8)
+
+(* ---- failure isolation ------------------------------------------------- *)
+
+(* A program that faults on its first load fails preparation.  It is a
+   failed row, and the other rows are those of a campaign without it:
+   shared and LOO synthesis read only the programs that prepared. *)
+let test_failed_preparation_isolated () =
+  let bad =
+    let open Pf_kir.Build in
+    Pf_mibench.Registry.of_program ~category:"test" "faults-at-once"
+      (program [] [ func "main" [] [ print_int (load32 (i 3)) ] ])
+  in
+  let good =
+    List.map Pf_mibench.Registry.find_exn [ "crc32"; "bitcount" ]
+  in
+  let c = E.run ~loo:true ~jobs:2 (List.hd good :: bad :: List.tl good) in
+  Alcotest.(check int) "every program has a row" 3 c.E.c_total;
+  Alcotest.(check int) "the good programs completed" 2 c.E.c_completed;
+  Alcotest.(check (list string)) "failed names the bad program"
+    [ "faults-at-once" ] (List.map fst (E.failed c));
+  let view (r : E.row) =
+    (r.E.r_bench, r.E.r_arm16, r.E.r_per_app, r.E.r_shared, r.E.r_loo)
+  in
+  Alcotest.(check bool) "good rows = a campaign over just those two" true
+    (List.map view (E.ok_rows c)
+    = List.map view (E.ok_rows (E.run ~loo:true ~jobs:2 good)))
 
 (* ---- expected directions ----------------------------------------------- *)
 
@@ -190,4 +210,6 @@ let tests =
       test_loo_differential;
     Alcotest.test_case "shared coverage is sane" `Quick
       test_shared_coverage_sane;
+    Alcotest.test_case "failed preparation is an isolated row" `Quick
+      test_failed_preparation_isolated;
   ]

@@ -400,6 +400,13 @@ let test_cache_keys () =
   check_bool "isa changes the evaluate key" true
     (Service.cache_key named
     <> Service.cache_key { named with Proto.isa = Proto.Fits });
+  let point w =
+    Service.cache_key
+      { named with Proto.action = Proto.Explore_point; weighting = w }
+  in
+  check_string "explore-point key ignores weighting"
+    (point Pf_multi.Weighting.Dyn_count)
+    (point Pf_multi.Weighting.Uniform);
   check_bool "status has no key" true
     (Result.is_error
        (SE.protect ~where:"t" (fun () ->

@@ -188,6 +188,19 @@ let owned =
       owners = [ "lib/dse/explore.ml" ];
       reason = flow_reason;
     };
+    (* One multi-program campaign.  A timed FITS run is a recording's
+       FITS half, a campaign cell or a fault trial; a population or a
+       suite that runs FITS itself is a second campaign. *)
+    {
+      path = "Pf_fits.Run";
+      fns = [ "run" ];
+      owners =
+        [ "lib/dse/explore.ml"; "lib/multi/eval.ml"; "lib/fault/campaign.ml" ];
+      reason =
+        "a timed FITS run is a recording's FITS half (Pf_dse.Explore), a \
+         campaign cell (Pf_multi.Eval.eval_cell) or a fault trial; \
+         evaluate through one of those";
+    };
   ]
 
 (* Blank out comments, keeping newlines so line numbers survive: the
