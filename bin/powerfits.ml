@@ -478,8 +478,7 @@ let multi_cmd =
       Pf_multi.Eval.run ~weighting ?dict_budget ~loo ~scale ~jobs benches
     in
     Printf.eprintf "%s\n%!" (Pf_multi.Eval.banner campaign);
-    print_string
-      (Pf_multi.Suite.coverage_table campaign.Pf_multi.Eval.c_shared);
+    print_string (Pf_multi.Eval.coverage_table campaign);
     print_newline ();
     print_string (Pf_multi.Eval.table campaign);
     print_newline ();

@@ -145,20 +145,16 @@ type block = {
 
 type t = {
   uops : Pexec.uop array;
-  max_len : int;
   blocks : block option array;  (* lazily built, indexed by leader *)
   mutable built : int;
 }
 
-let default_max_len = 64
+(* block length cap: bounds the per-dispatch watchdog/deadline
+   granularity adjustment *)
+let max_len = 64
 
-let create ?(max_len = default_max_len) (uops : Pexec.uop array) =
-  {
-    uops;
-    max_len = (if max_len < 1 then 1 else max_len);
-    blocks = Array.make (Array.length uops) None;
-    built = 0;
-  }
+let create (uops : Pexec.uop array) =
+  { uops; blocks = Array.make (Array.length uops) None; built = 0 }
 
 let slots t = Array.length t.uops
 
@@ -196,7 +192,7 @@ let build t s =
         incr e;
         if
           !e >= n
-          || !e - s >= t.max_len
+          || !e - s >= max_len
           || uops.(!e).Pexec.code = Pexec.code_undef
         then stop := true
       end

@@ -25,7 +25,8 @@ val sh_nop : int
 
 val sh_dp : int
 (** Unconditional non-pc-writing DP op: execute with
-    {!Pexec.exec_dp_nr}, issue via [Pipeline.issue_alu]. *)
+    {!Pexec.exec_dp_nr}, issue within its run's ALU span
+    ([Pipeline.issue_alu_seq_span]). *)
 
 val sh_gen : int
 (** General non-terminating op: full {!Pexec.exec} + full issue; control
@@ -52,15 +53,12 @@ type block = {
 
 type t
 
-val default_max_len : int
-(** Block length cap (64): longer straight-line runs split into chained
-    fall-through blocks, bounding the per-dispatch watchdog/deadline
-    granularity adjustment. *)
-
-val create : ?max_len:int -> Pexec.uop array -> t
+val create : Pexec.uop array -> t
 (** Lazy block table over a predecoded program ([Pexec.program.uops] or
     the FITS translated stream).  No blocks are built until
-    {!block_at}. *)
+    {!block_at}.  Blocks are capped at 64 instructions: longer
+    straight-line runs split into chained fall-through blocks, bounding
+    the per-dispatch watchdog/deadline granularity adjustment. *)
 
 val slots : t -> int
 (** Static slots == [Array.length uops]; valid leader indices. *)

@@ -75,21 +75,19 @@ let report ?trace ~pipe ~cache ~dcache ~account st =
 
 (* The reference oracle: [Pf_arm.Exec.run] re-decoding every dynamic step,
    with its own stack and metadata, sharing nothing with [Step]. *)
-let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace (image : Pf_arm.Image.t) =
+let run_reference ?cache ~cache_cfg ?max_steps ?deadline ?trace
+    (image : Pf_arm.Image.t) =
   let cache =
     match cache with
     | Some c -> c
     | None -> Pf_cache.Icache.create cache_cfg
   in
   let dcache = Pf_cache.Icache.create dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
-  let fetch_data addr = Pf_arm.Image.word_at image addr in
-  let pipe =
-    Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
-      ()
+  let account =
+    Pf_power.Account.create (Pf_power.Geometry.of_config cache_cfg)
   in
+  let fetch_data addr = Pf_arm.Image.word_at image addr in
+  let pipe = Pipeline.create ~dcache ~cache ~account ~fetch_data () in
   let st = Pf_arm.Exec.create image in
   let metas = build_meta image in
   let code_base = image.Pf_arm.Image.code_base in
@@ -118,24 +116,21 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ?max_steps
   report ?trace ~pipe ~cache ~dcache ~account st
 
 let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
-    ?pipeline_cfg ?power_params ?max_steps ?deadline ?trace image =
+    ?max_steps ?deadline ?trace image =
   match engine with
   | Reference ->
-      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ?max_steps
-        ?deadline ?trace image
+      run_reference ?cache ~cache_cfg ?max_steps ?deadline ?trace image
   | Compiled ->
       let s =
-        Step.of_image ?cache ~cache_cfg ?pipeline_cfg ?power_params
-          ?max_steps ?deadline ?trace image
+        Step.of_image ?cache ~cache_cfg ?max_steps ?deadline ?trace image
       in
       Cexec.run s;
       report ?trace ~pipe:s.Step.pipe ~cache:s.Step.cache ~dcache:s.Step.dcache
         ~account:s.Step.account s.Step.st
 
-let replay ?pipeline_cfg ?power_params ~cache_cfg ~output
-    (image : Pf_arm.Image.t) trace =
+let replay ~cache_cfg ~output (image : Pf_arm.Image.t) trace =
   let s =
-    Trace.replay ?pipeline_cfg ?power_params
+    Trace.replay
       ~seq:
         ( Pipeline.seq_toggle_prefix ~words:image.Pf_arm.Image.words,
           image.Pf_arm.Image.code_base lsr 2 )

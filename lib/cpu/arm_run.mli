@@ -34,25 +34,23 @@ val run :
   ?engine:engine ->
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
-  ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->
   Pf_arm.Image.t ->
   result
-(** Default cache: 16 KB, 32-byte blocks, 32-way (the SA-1100 I-cache).
-    [cache] substitutes a pre-built I-cache instance (so the caller can
-    read its toggle and refill counters afterwards); otherwise a fresh
-    one is built from [cache_cfg].
+(** Default cache: 16 KB, 32-byte blocks, 32-way (the SA-1100 I-cache),
+    on the {!Pipeline.sa1100} timing model; [cache_cfg] also picks the
+    power coefficients ({!Pf_power.Account.create}).  [cache]
+    substitutes a pre-built I-cache instance (so the caller can read its
+    toggle and refill counters afterwards); otherwise a fresh one is
+    built from [cache_cfg].
     [deadline] is the wall-clock watchdog, polled inside the execute loop.
     [trace] (created with [isize:4]) additionally records every retired
     instruction so other cache geometries can be {!replay}ed without
     re-executing. *)
 
 val replay :
-  ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   cache_cfg:Pf_cache.Icache.config ->
   output:string ->
   Pf_arm.Image.t ->

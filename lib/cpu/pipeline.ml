@@ -207,53 +207,24 @@ let issue t ~backward ~mem_addr ~dmisses ~addr ~size ~cls ~reads ~writes
   t.prev_load_writes <- (if is_load then writes else 0);
   Pf_power.Account.on_retire t.account
 
-(* [issue] specialized to the dominant event shape: a non-memory,
-   non-branch Alu instruction with no D-cache misses ([cls = Alu],
-   [taken = backward = false], [mem_words = 0], [dmisses = 0],
-   [mem_addr = -1]).  Every branch of [issue] is resolved under those
-   constants — no mul/ldm/branch extras, no redirect, no D-cache walk —
-   leaving the fetch gate, the load-use bubble and the pairing state
-   machine.  The block-compiled engine and the trace replayer route
-   eligible events here; cycle-for-cycle identity with [issue] is asserted
-   by the three-way differential tests. *)
-let issue_alu t ~addr ~size ~reads ~writes =
-  t.instrs <- t.instrs + 1;
-  let word_addr = addr land lnot 3 in
-  let stall =
-    if word_addr <> t.last_fetch_addr || not t.cfg.fetch_buffer then
-      fetch_word t word_addr
-    else 0
-  in
-  ignore size;
-  t.last_dmisses <- 0;
-  let bubble =
-    if t.prev_load_writes land reads <> 0 then t.cfg.load_use_bubble else 0
-  in
-  if
-    t.cfg.dual_issue && t.pair_slot_free && stall = 0 && bubble = 0
-    && reads land t.slot_writes = 0
-  then t.pair_slot_free <- false
-  else begin
-    spend t (1 + stall + bubble);
-    t.pair_slot_free <- t.cfg.dual_issue;
-    t.slot_writes <- writes;
-    t.slot_mem <- false
-  end;
-  t.prev_load_writes <- 0;
-  Pf_power.Account.on_retire t.account
-
-(* Span-batched [issue_alu]: [n] consecutive ALU-shaped events packed two
-   ints each into [ev] at [pos] — slot 0 the fetch address, slot 1 a meta
-   word whose bits 11-27 are the read mask and bits 28-44 the write mask
-   (the [Trace] packed-event layout with every dynamic field zero; the two
-   modules share the layout within this library).  Equivalent to calling
-   [issue_alu] once per event, but the pipeline/pairing state lives in
-   locals for the whole span and the power accounting is flushed in
+(* Span-batched [issue] for ALU-shaped events: [n] consecutive events
+   packed two ints each into [ev] at [pos] — slot 0 the fetch address,
+   slot 1 a meta word whose bits 11-27 are the read mask and bits 28-44
+   the write mask (the [Trace] packed-event layout with every dynamic
+   field zero; the two modules share the layout within this library).
+   Every event is a non-memory, non-branch Alu instruction with no
+   D-cache misses ([cls = Alu], [taken = backward = false],
+   [mem_words = 0], [dmisses = 0], [mem_addr = -1]), so every branch of
+   [issue] is resolved under those constants — no mul/ldm/branch extras,
+   no redirect, no D-cache walk — leaving the fetch gate, the load-use
+   bubble and the pairing state machine.  Equivalent to calling [issue]
+   once per event, but the pipeline/pairing state lives in locals for
+   the whole span and the power accounting is flushed in
    peak-window-sized batches ([Account.on_block]) instead of three calls
    per instruction.  Cache counters stay exact per access — every fetch
-   still goes through [Icache.access_seq]/[access_fast] — so miss stalls,
-   toggle streams and the shadow LRU are untouched.  The trace replayer
-   and the block-compiled engines feed their ALU runs through here; the
+   still goes through [Icache.access_seq]/[access_fast] — so miss stalls
+   and toggle streams are untouched.  The trace replayer and the
+   block-compiled engines feed their ALU runs through here; the
    three-way differential and replay-equivalence tests pin the
    bit-identity. *)
 let flush_span t =
@@ -335,7 +306,7 @@ let seq_toggle_prefix ~words =
    STRICTLY SEQUENTIAL (each event [size] bytes after the previous — true
    of any straight-line run of retirements, which is exactly what an ALU
    span is).  The first access of every cache line runs through the real
-   per-access path (misses, refills, index toggles, shadow LRU all exact);
+   per-access path (misses, refills and index toggles all exact);
    the remaining words of that line are then guaranteed way-0 hits with
    zero index toggles and an unchanged recency front, so they collapse
    into one [Icache.access_seq_run] whose output-bus toggle sum comes from

@@ -105,23 +105,17 @@ val issue :
     All arguments are required: a [Some]-boxed optional would allocate on
     every dynamic instruction. *)
 
-val issue_alu : t -> addr:int -> size:int -> reads:int -> writes:int -> unit
-(** {!issue} specialized to the dominant event: a plain Alu instruction —
-    [cls = Alu], [taken = backward = false], [mem_words = 0],
-    [mem_addr = -1], [dmisses = 0].  Behaviour is cycle-for-cycle and
-    counter-for-counter identical to calling {!issue} with those
-    constants; only the work of re-deriving them is gone.  Callers (the
-    block-compiled engine, the trace replayer's Alu fast path) must prove
-    the event has exactly this shape. *)
-
 val issue_alu_span : t -> ev:int array -> pos:int -> n:int -> unit
-(** Span-batched {!issue_alu}: [n] consecutive ALU-shaped events, packed
-    two ints each into [ev] starting at [pos] — slot 0 the fetch address,
-    slot 1 a meta word with the read mask in bits 11-27 and the write
-    mask in bits 28-44 and every other bit zero (the {!Trace} packed
-    event layout for an eligible event; {!Trace.static_meta} of an Alu
-    instruction produces exactly this).  Bit-identical to [n] separate
-    {!issue_alu} calls: fetches still hit the I-cache access-by-access
+(** Span-batched {!issue} for the dominant event shape: [n] consecutive
+    plain Alu instructions ([cls = Alu], [taken = backward = false],
+    [mem_words = 0], [mem_addr = -1], [dmisses = 0]), packed two ints
+    each into [ev] starting at [pos] — slot 0 the fetch address, slot 1
+    a meta word with the read mask in bits 11-27 and the write mask in
+    bits 28-44 and every other bit zero (the {!Trace} packed event layout
+    for an eligible event; {!Trace.static_meta} of an Alu instruction
+    produces exactly this).  Callers must prove every event has this
+    shape.  Bit-identical to [n] separate {!issue} calls with those
+    constants: fetches still hit the I-cache access-by-access
     (miss stalls and toggle streams are exact), while the pairing state
     runs in locals and the power accounting is applied in peak-window
     bounded batches ({!Pf_power.Account.on_block}).  The trace replayer
@@ -146,7 +140,7 @@ val issue_alu_seq_span :
     strictly sequential — event [k] exactly [size] bytes after event
     [k-1], the shape of every straight-line retirement run.  The first
     access of each cache line takes the real per-access path (misses,
-    refills, index toggles and shadow LRU exact); the rest of the line's
+    refills and index toggles exact); the rest of the line's
     words are guaranteed way-0 hits and collapse into one bulk cache
     update whose output-bus toggles come from [seq_tog]
     ({!seq_toggle_prefix} of the code words; [wbase] = code_base / 4

@@ -77,8 +77,8 @@ let undef_fault t pc (u : Px.uop) =
 let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
 let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
-    ?power_params ?(max_steps = 500_000_000) ?deadline ?trace ?src ~isize
-    ~code_base ~words ~entry ~uops st =
+    ?(max_steps = 500_000_000) ?deadline ?trace ?src ~isize ~code_base
+    ~words ~entry ~uops st =
   if isize <> 2 && isize <> 4 then
     Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where:"cpu.step"
       "isize must be 2 (FITS) or 4 (ARM), got %d" isize;
@@ -88,8 +88,9 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     | None -> Pf_cache.Icache.create cache_cfg
   in
   let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
+  let account =
+    Pf_power.Account.create (Pf_power.Geometry.of_config cache_cfg)
+  in
   let fetch_data addr = words.((addr - code_base) lsr 2) in
   let pipe =
     Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
@@ -133,13 +134,12 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     src_one = 0;
   }
 
-let of_image ?cache ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace (image : Pf_arm.Image.t) =
+let of_image ?cache ?cache_cfg ?max_steps ?deadline ?trace
+    (image : Pf_arm.Image.t) =
   let p = Px.compile image in
-  create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
-    ?trace ~isize:4 ~code_base:p.Px.code_base
-    ~words:image.Pf_arm.Image.words ~entry:p.Px.entry ~uops:p.Px.uops
-    (Pf_arm.Exec.create image)
+  create ?cache ?cache_cfg ?max_steps ?deadline ?trace ~isize:4
+    ~code_base:p.Px.code_base ~words:image.Pf_arm.Image.words
+    ~entry:p.Px.entry ~uops:p.Px.uops (Pf_arm.Exec.create image)
 
 let halted t = t.st.Pf_arm.Exec.halted
 let steps t = t.st.Pf_arm.Exec.steps

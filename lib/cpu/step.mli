@@ -66,7 +66,6 @@ val create :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->
@@ -82,19 +81,19 @@ val create :
     or 2 (FITS) and also picks the fault texts and origin each ISA's
     runner reports; [words] backs sequential-fetch toggle accounting and
     is indexed from [code_base] in 32-bit words.  [cache_cfg] defaults to
-    16 KB, the ARM baseline geometry.  [cache] substitutes a
+    16 KB, the ARM baseline geometry; it also picks the power
+    coefficients ({!Pf_power.Account.create}).  [cache] substitutes a
     pre-built I-cache (as the runners' [?cache] does); its geometry must
-    match [cache_cfg], which still drives the power model.  [src], for
-    FITS cores, gives per-slot (first-of-group, group-is-singleton) flags
-    indexed like [uops] — they drive the source-instruction counts.
-    [max_steps] (default 500 million) is the watchdog; [trace] must be
-    created with the matching [isize]. *)
+    match [cache_cfg].  [pipeline_cfg] (default {!Pipeline.sa1100}) is
+    set only through [Pf_fits.Run.run], for the fetch-buffer ablation.
+    [src], for FITS cores, gives per-slot (first-of-group,
+    group-is-singleton) flags indexed like [uops] — they drive the
+    source-instruction counts.  [max_steps] (default 500 million) is the
+    watchdog; [trace] must be created with the matching [isize]. *)
 
 val of_image :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
-  ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->

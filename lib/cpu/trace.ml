@@ -26,9 +26,13 @@
 
 let ints_per_event = 2
 
+(* events per chunk: the growth unit *)
+let chunk_events = 65536
+
+let chunk_ints = chunk_events * ints_per_event
+
 type t = {
   isize : int;
-  chunk_events : int;
   mutable chunks : int array array;
   mutable nchunks : int;      (* chunks in use *)
   mutable cur : int array;    (* == chunks.(nchunks - 1) *)
@@ -40,14 +44,10 @@ type t = {
   mutable nptabs : int;
 }
 
-let create ?(chunk_events = 65536) ~isize () =
-  if chunk_events <= 0 then
-    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
-      ~where:"cpu.trace" "chunk_events must be positive (got %d)" chunk_events;
-  let first = Array.make (chunk_events * ints_per_event) 0 in
+let create ~isize () =
+  let first = Array.make chunk_ints 0 in
   {
     isize;
-    chunk_events;
     chunks = [| first |];
     nchunks = 1;
     cur = first;
@@ -78,10 +78,9 @@ let[@inline] span_pos w = w land 0xFFFFFFFF
 let[@inline] span_n w = w lsr 32
 
 let iter t f =
-  let full = t.chunk_events * ints_per_event in
   for ci = 0 to t.nchunks - 1 do
     let chunk = t.chunks.(ci) in
-    let used = if ci = t.nchunks - 1 then t.cur_used else full in
+    let used = if ci = t.nchunks - 1 then t.cur_used else chunk_ints in
     let i = ref 0 in
     while !i < used do
       let a = chunk.(!i) in
@@ -134,14 +133,14 @@ let grow t =
     Array.blit t.chunks 0 spine 0 t.nchunks;
     t.chunks <- spine
   end;
-  let c = Array.make (t.chunk_events * ints_per_event) 0 in
+  let c = Array.make chunk_ints 0 in
   t.chunks.(t.nchunks) <- c;
   t.nchunks <- t.nchunks + 1;
   t.cur <- c;
   t.cur_used <- 0
 
 let record t ~addr ~cls ~reads ~writes ~taken ~backward ~dmisses ~mem_words =
-  if t.cur_used = t.chunk_events * ints_per_event then grow t;
+  if t.cur_used = chunk_ints then grow t;
   let meta =
     cls_code cls
     lor (Bool.to_int taken lsl 3)
@@ -173,7 +172,7 @@ let[@inline] dynamic_meta ~taken ~mem_words ~dmisses =
   (Bool.to_int taken lsl 3) lor (mem_words lsl 5) lor (dmisses lsl 45)
 
 let record_packed t ~addr ~meta =
-  if t.cur_used = t.chunk_events * ints_per_event then grow t;
+  if t.cur_used = chunk_ints then grow t;
   let i = t.cur_used in
   t.cur.(i) <- addr;
   t.cur.(i + 1) <- meta;
@@ -197,7 +196,7 @@ let register_pairs t pairs =
   t.nptabs - 1
 
 let record_span t ~tid ~pos ~n =
-  if t.cur_used = t.chunk_events * ints_per_event then grow t;
+  if t.cur_used = chunk_ints then grow t;
   let i = t.cur_used in
   t.cur.(i) <- -1 - tid;
   t.cur.(i + 1) <- pos lor (n lsl 32);
@@ -218,34 +217,31 @@ type stats = {
 (* the SA-1100's 8 KB data cache, identical in all four configurations *)
 let dcache_cfg = Pf_cache.Icache.config ~size_bytes:(8 * 1024) ()
 
-let replay ?pipeline_cfg ?power_params ?cache ?seq ~cache_cfg ~fetch_data
-    t =
+let replay ?cache ?seq ~cache_cfg ~fetch_data t =
   let cache =
     match cache with
     | Some c -> c
     | None -> Pf_cache.Icache.create cache_cfg
   in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
-  (* no [dcache]: the data side is driven from the recorded miss counts *)
-  let pipe =
-    Pipeline.create ?config:pipeline_cfg ~cache ~account ~fetch_data ()
+  let account =
+    Pf_power.Account.create (Pf_power.Geometry.of_config cache_cfg)
   in
+  (* no [dcache]: the data side is driven from the recorded miss counts *)
+  let pipe = Pipeline.create ~cache ~account ~fetch_data () in
   let size = t.isize in
-  let full = t.chunk_events * ints_per_event in
-  (* Events whose low bits and dmisses field are all zero are exactly the
-     shape [Pipeline.issue_alu] covers (cls = Alu, not taken, forward,
-     no memory words, no D-cache misses) — the dominant event class in
-     every benchmark.  Consecutive such events form a span dispatched as
-     one [Pipeline.issue_alu_span] call (local pairing state, batched
-     power accounting); a span cut by a chunk boundary is replayed as two
+  (* Events whose low bits and dmisses field are all zero are the
+     ALU-shaped events (cls = Alu, not taken, forward, no memory words,
+     no D-cache misses) — the dominant event class in every benchmark.
+     Consecutive such events form a span dispatched as one
+     [Pipeline.issue_alu_span] call (local pairing state, batched power
+     accounting); a span cut by a chunk boundary is replayed as two
      spans, which is equivalent — span boundaries carry no state. *)
   let alu_mask = 0x7FF lor (0x3F lsl 45) in
   (* span-scan cursors, hoisted so the scan allocates nothing per span *)
   let i = ref 0 and j = ref 0 and expect = ref 0 in
   for ci = 0 to t.nchunks - 1 do
     let chunk = t.chunks.(ci) in
-    let used = if ci = t.nchunks - 1 then t.cur_used else full in
+    let used = if ci = t.nchunks - 1 then t.cur_used else chunk_ints in
     i := 0;
     while !i < used do
       let addr = chunk.(!i) in

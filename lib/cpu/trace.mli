@@ -23,9 +23,9 @@
 
 type t
 
-val create : ?chunk_events:int -> isize:int -> unit -> t
+val create : isize:int -> unit -> t
 (** Fresh empty trace for instructions of [isize] bytes (4 = ARM,
-    2 = FITS).  [chunk_events] (default 65536) sizes the growth unit. *)
+    2 = FITS).  Storage grows in chunks of 65536 events. *)
 
 val isize : t -> int
 
@@ -146,19 +146,19 @@ val dcache_cfg : Pf_cache.Icache.config
     (simulated by recording runs only; replays use the recorded misses). *)
 
 val replay :
-  ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?cache:Pf_cache.Icache.t ->
   ?seq:int array * int ->
   cache_cfg:Pf_cache.Icache.config ->
   fetch_data:(int -> int) ->
   t ->
   stats
-(** Drive a fresh I-cache ([cache_cfg]), pipeline and power account with
-    the recorded stream; data-side stalls come from the recorded miss
-    counts.  [fetch_data] must be the same word-at-address function the
-    execute phase used (the image is immutable, so the words driven onto
-    the fetch bus are reproduced exactly).  [cache] substitutes a
+(** Drive a fresh I-cache ([cache_cfg]), {!Pipeline.sa1100} pipeline and
+    power account (coefficients from the geometry,
+    {!Pf_power.Account.create}) with the recorded stream; data-side
+    stalls come from the recorded miss counts.  [fetch_data] must be the
+    same word-at-address function the execute phase used (the image is
+    immutable, so the words driven onto the fetch bus are reproduced
+    exactly).  [cache] substitutes a
     pre-built I-cache instance, as in the direct runners.  [seq] =
     [(Pipeline.seq_toggle_prefix of the code words, code_base / 4)]
     routes sequential ALU runs through the line-batched span kernel

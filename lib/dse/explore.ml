@@ -51,14 +51,6 @@ type t = {
   engine : Space.engine;
 }
 
-(* Per-point power: the coefficients scale analytically with the read
-   width (Account.Params.for_geometry) and the gate count enters through
-   the geometry itself.  At both paper points the scaled params equal the
-   defaults exactly, so those grid entries coincide bit-for-bit with the
-   harness numbers. *)
-let params_for cfg =
-  Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config cfg)
-
 let gates_for cfg = (Pf_power.Geometry.of_config cfg).Pf_power.Geometry.gate_count
 
 let metrics_of_arm cfg (r : Pf_cpu.Arm_run.result) =
@@ -94,20 +86,14 @@ let metrics_of_fits cfg (r : Pf_fits.Run.result) =
 let arm_sweep ~image ~output ~geometries trace =
   List.map
     (fun g ->
-      let r =
-        Pf_cpu.Arm_run.replay ~power_params:(params_for g) ~cache_cfg:g
-          ~output image trace
-      in
+      let r = Pf_cpu.Arm_run.replay ~cache_cfg:g ~output image trace in
       { variant = Arm; geometry = g; metrics = metrics_of_arm g r })
     geometries
 
 let fits_sweep ~dict_budget ~like ~geometries tr trace =
   List.map
     (fun g ->
-      let r =
-        Pf_fits.Run.replay ~power_params:(params_for g) ~cache_cfg:g ~like tr
-          trace
-      in
+      let r = Pf_fits.Run.replay ~cache_cfg:g ~like tr trace in
       { variant = Fits dict_budget; geometry = g; metrics = metrics_of_fits g r })
     geometries
 
@@ -136,7 +122,7 @@ let metrics_of_stats cfg ~instructions (s : Pf_cpu.Trace.stats) =
 
 let arm_sweep_1pass ~image ~geometries trace =
   let stats =
-    Sweep.run ~params_of:params_for ~geometries
+    Sweep.run ~geometries
       ~fetch_data:(fun addr -> Pf_arm.Image.word_at image addr)
       trace
   in
@@ -156,7 +142,7 @@ let fits_sweep_1pass ~dict_budget ~(like : Pf_fits.Run.result) ~geometries
   let code_base = tr.Pf_fits.Translate.code_base in
   let words = tr.Pf_fits.Translate.words in
   let stats =
-    Sweep.run ~params_of:params_for ~geometries
+    Sweep.run ~geometries
       ~fetch_data:(fun addr -> words.((addr - code_base) lsr 2))
       trace
   in

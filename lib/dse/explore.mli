@@ -8,8 +8,8 @@
     2 passes per benchmark on the default variant axis) or, when
     [?engine] is [Replay], by a {!Pf_cpu.Trace} replay per geometry
     (2 executions + 2·N replays) — bit-identical results either way,
-    never 2 + 2·N executions.  Per-point power uses
-    {!Pf_power.Account.Params.for_geometry}, so coefficients scale
+    never 2 + 2·N executions.  Per-point power is the one power model,
+    {!Pf_power.Account.Params.for_geometry}: coefficients scale
     analytically with the read width while both paper geometries see the
     calibrated defaults unchanged — the ARM16/ARM8/FITS16/FITS8 grid
     points reproduce the harness numbers bit-for-bit (asserted by

@@ -80,8 +80,6 @@ open Pf_util
 module Icache = Pf_cache.Icache
 module Account = Pf_power.Account
 
-let where = "dse.sweep"
-
 (* Lane masks live in one immediate int; 62 keeps clear of the sign bit.
    Profiles with more associativity points than this are split into
    chunks that each re-run the (cheap) stack search. *)
@@ -142,28 +140,18 @@ let[@inline] slices_get slices off nslices bit =
   done;
   !v
 
-let run ?(params_of = fun (_ : Icache.config) -> Account.Params.default)
-    ~geometries ~fetch_data trace =
+let run ~geometries ~fetch_data trace =
   let cfgs = Array.of_list geometries in
   let nl = Array.length cfgs in
   if nl = 0 then [||]
   else begin
     Array.iter Icache.validate cfgs;
     let geoms = Array.map Pf_power.Geometry.of_config cfgs in
-    let params = Array.map params_of cfgs in
+    (* each lane's coefficients, as its [Account.create] would pick them;
+       [for_geometry] scales only [k_access], so every lane closes its
+       peak windows on the same trace index *)
+    let params = Array.map Account.Params.for_geometry geoms in
     let kwin = params.(0).Account.Params.peak_window_insns in
-    Array.iter
-      (fun (p : Account.Params.t) ->
-        if p.Account.Params.peak_window_insns <> kwin then
-          Sim_error.raisef Sim_error.Invalid_config ~where
-            "peak_window_insns must be uniform across geometries \
-             (got %d and %d): windows must close on the same trace index \
-             in every lane"
-            kwin p.Account.Params.peak_window_insns)
-      params;
-    if kwin <= 0 then
-      Sim_error.raisef Sim_error.Invalid_config ~where
-        "peak_window_insns must be positive (got %d)" kwin;
     let nslices =
       let rec bits k n = if k = 0 then n else bits (k lsr 1) (n + 1) in
       bits kwin 1

@@ -28,7 +28,6 @@
     path remains the differential-testing oracle. *)
 
 val run :
-  ?params_of:(Pf_cache.Icache.config -> Pf_power.Account.Params.t) ->
   geometries:Pf_cache.Icache.config list ->
   fetch_data:(int -> int) ->
   Pf_cpu.Trace.t ->
@@ -38,11 +37,8 @@ val run :
     stats record per geometry in input order, each bit-identical to
     [Trace.replay ~cache_cfg:geometry] of the same trace.  [fetch_data]
     must be the recording run's word-at-address function, exactly as for
-    {!Pf_cpu.Trace.replay}.  [params_of] maps each geometry to its power
-    parameters (default: the same [Account.Params.default] a bare replay
-    uses; the explorer passes [Account.Params.for_geometry]).  All
-    parameter sets must agree on [peak_window_insns] — peak windows must
-    close at the same trace index in every lane — otherwise a
-    [Sim_error] of kind [Invalid_config] is raised.  Geometries are
-    validated ({!Pf_cache.Icache.validate}); duplicates are allowed and
-    evaluated independently. *)
+    {!Pf_cpu.Trace.replay}.  Each lane's power coefficients are
+    {!Pf_power.Account.Params.for_geometry} of its geometry, as a
+    replay's account picks them.  Geometries are validated
+    ({!Pf_cache.Icache.validate}); duplicates are allowed and evaluated
+    independently. *)

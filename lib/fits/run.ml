@@ -65,11 +65,11 @@ let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
 
 let where = "fits.run"
 
-let stepper ?cache ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace (tr : Translate.t) =
+let stepper ?cache ?cache_cfg ?pipeline_cfg ?max_steps ?deadline ?trace
+    (tr : Translate.t) =
   let insns = tr.Translate.insns in
-  Pf_cpu.Step.create ?cache ?cache_cfg ?pipeline_cfg ?power_params
-    ?max_steps ?deadline ?trace
+  Pf_cpu.Step.create ?cache ?cache_cfg ?pipeline_cfg ?max_steps ?deadline
+    ?trace
     ~src:
       ( Array.map (fun fi -> fi.Translate.first) insns,
         Array.map (fun fi -> fi.Translate.group_len = 1) insns )
@@ -106,16 +106,17 @@ let report ?trace ~steps ~src ~one ~pipe ~cache ~dcache ~account st =
 (* The reference oracle: dispatch on [Mapping.micro] through
    [Pf_arm.Exec.execute] every step, with its own stack and metadata,
    sharing nothing with [Pf_cpu.Step]. *)
-let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~max_steps
-    ?deadline ?on_step ?trace (tr : Translate.t) =
+let run_reference ?cache ~cache_cfg ?pipeline_cfg ~max_steps ?deadline
+    ?on_step ?trace (tr : Translate.t) =
   let cache =
     match cache with
     | Some c -> c
     | None -> Pf_cache.Icache.create cache_cfg
   in
   let dcache = Pf_cache.Icache.create Pf_cpu.Arm_run.dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
+  let account =
+    Pf_power.Account.create (Pf_power.Geometry.of_config cache_cfg)
+  in
   let code_base = tr.Translate.code_base in
   let words = tr.Translate.words in
   let fetch_data addr = words.((addr - code_base) lsr 2) in
@@ -186,16 +187,16 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~max_steps
     ~dcache ~account st
 
 let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(max_steps = 500_000_000) ?deadline ?on_step
-    ?trace (tr : Translate.t) =
+    ?pipeline_cfg ?(max_steps = 500_000_000) ?deadline ?on_step ?trace
+    (tr : Translate.t) =
   match engine with
   | Reference ->
-      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~max_steps
-        ?deadline ?on_step ?trace tr
+      run_reference ?cache ~cache_cfg ?pipeline_cfg ~max_steps ?deadline
+        ?on_step ?trace tr
   | Compiled ->
       let s =
-        stepper ?cache ~cache_cfg ?pipeline_cfg ?power_params ~max_steps
-          ?deadline ?trace tr
+        stepper ?cache ~cache_cfg ?pipeline_cfg ~max_steps ?deadline ?trace
+          tr
       in
       (match on_step with
       | None -> Pf_cpu.Cexec.run s
@@ -214,12 +215,11 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = default_cache_cfg)
         ~cache:s.Pf_cpu.Step.cache ~dcache:s.Pf_cpu.Step.dcache
         ~account:s.Pf_cpu.Step.account (Pf_cpu.Step.state s)
 
-let replay ?pipeline_cfg ?power_params ~cache_cfg ~like (tr : Translate.t)
-    trace =
+let replay ~cache_cfg ~like (tr : Translate.t) trace =
   let code_base = tr.Translate.code_base in
   let words = tr.Translate.words in
   let s =
-    Pf_cpu.Trace.replay ?pipeline_cfg ?power_params
+    Pf_cpu.Trace.replay
       ~seq:(Pf_cpu.Pipeline.seq_toggle_prefix ~words, code_base lsr 2)
       ~cache_cfg
       ~fetch_data:(fun addr -> words.((addr - code_base) lsr 2))

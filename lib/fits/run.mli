@@ -39,7 +39,6 @@ val stepper :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Pf_cpu.Trace.t ->
@@ -57,27 +56,27 @@ val run :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?on_step:(Pf_arm.Exec.t -> steps:int -> unit) ->
   ?trace:Pf_cpu.Trace.t ->
   Translate.t ->
   result
-(** [cache] supplies a pre-built I-cache instance (the fault injector uses
-    this to schedule tag flips); its geometry must match [cache_cfg], which
-    still drives the power model.  [on_step] is called after every retired
-    16-bit instruction with the architectural state — the register-file
+(** [cache_cfg] (default 16 KB) picks the I-cache and its power
+    coefficients ({!Pf_power.Account.create}).  [pipeline_cfg] (default
+    {!Pf_cpu.Pipeline.sa1100}) exists for the fetch-buffer ablation.
+    [cache] supplies a pre-built I-cache instance (the fault injector
+    uses this to schedule tag flips); its geometry must match
+    [cache_cfg].  [on_step] is called after every retired 16-bit
+    instruction with the architectural state — the register-file
     injection hook; with it the compiled engine runs one
     {!Pf_cpu.Step.step} at a time instead of a block at a time.  Both
-    default to off and cost nothing when unused.
+    [cache] and [on_step] default to off and cost nothing when unused.
     [deadline] is the wall-clock watchdog, polled in the execute loop
     every [Pf_arm.Exec.deadline_mask + 1] steps.  [trace] (created with
     [isize:2]) records the retired stream for {!replay}. *)
 
 val replay :
-  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   cache_cfg:Pf_cache.Icache.config ->
   like:result ->
   Translate.t ->

@@ -128,13 +128,10 @@ let report (t : t) =
 
 (* Core builders over the existing engine front ends. *)
 
-let arm_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
-    ?trace image =
-  Pf_cpu.Step.of_image ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace image
+let arm_core ?max_steps ?deadline ?trace image =
+  Pf_cpu.Step.of_image ?max_steps ?deadline ?trace image
 
-let fits_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
-    ?trace image =
+let fits_core ?max_steps ?deadline ?trace image =
   (* per-core application-specific synthesis: profile the ARM image,
      synthesize its FITS spec, translate — the sequential FITS flow, one
      decoder configuration per core *)
@@ -143,5 +140,4 @@ let fits_core ?cache_cfg ?pipeline_cfg ?power_params ?max_steps ?deadline
   in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  Pf_fits.Run.stepper ?cache_cfg ?pipeline_cfg ?power_params ?max_steps
-    ?deadline ?trace tr
+  Pf_fits.Run.stepper ?max_steps ?deadline ?trace tr

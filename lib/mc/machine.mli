@@ -67,28 +67,23 @@ val report : t -> report
 (** {1 Core builders} *)
 
 val arm_core :
-  ?cache_cfg:Pf_cache.Icache.config ->
-  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Pf_cpu.Trace.t ->
   Pf_arm.Image.t ->
   Pf_cpu.Step.t
-(** An ARM core over a compiled image ({!Pf_cpu.Step.of_image}). *)
+(** An ARM core over a compiled image ({!Pf_cpu.Step.of_image}), with the
+    SA-1100's 16 KB I-cache. *)
 
 val fits_core :
-  ?cache_cfg:Pf_cache.Icache.config ->
-  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Pf_cpu.Trace.t ->
   Pf_arm.Image.t ->
   Pf_cpu.Step.t
-(** A FITS core: profile the ARM image, synthesize its application-
-    specific spec, translate and predecode — one decoder configuration
-    per core, the paper's per-application flow.  The profiling run
-    executes the image once sequentially (single-core), so building a
-    FITS core is only meaningful for kernels whose sequential execution
-    terminates. *)
+(** A FITS core with the 16 KB I-cache: profile the ARM image,
+    synthesize its application-specific spec, translate and predecode —
+    one decoder configuration per core, the paper's per-application
+    flow.  The profiling run executes the image once sequentially
+    (single-core), so building a FITS core is only meaningful for
+    kernels whose sequential execution terminates. *)

@@ -184,6 +184,46 @@ let avg_power (p : E.per_config) = Pf_power.Account.avg_power p.E.power
 let power_saving_pct row cl =
   Pf_util.Stats.saving ~baseline:(avg_power row.r_arm16) (avg_power cl.fits8)
 
+(* Each program's coverage of the shared spec is its shared cell: the
+   translation measured there, and a dynamic 1-to-1 rate that the FITS8
+   run counts over the executed stream. *)
+let coverage_table c =
+  let sh = c.c_shared in
+  let rows =
+    List.map
+      (fun row ->
+        let cl = row.r_shared in
+        let code_arm =
+          Pf_arm.Image.code_size_bytes row.r_prepared.Suite.image
+        in
+        [
+          row.r_bench;
+          Pf_util.Table.pct cl.static_map_pct;
+          Pf_util.Table.pct cl.dyn_map_pct;
+          string_of_int cl.code_fits;
+          Pf_util.Table.pct
+            (Pf_util.Stats.saving ~baseline:(float_of_int code_arm)
+               (float_of_int cl.code_fits));
+          string_of_int cl.dict_entries;
+          string_of_int cl.spilled_imms;
+        ])
+      (ok_rows c)
+  in
+  Printf.sprintf
+    "shared ISA (%s weighting): %d AIS opcodes, %d dictionary entries, %d \
+     spilled at synthesis\n%s"
+    (Weighting.to_string sh.Suite.weighting)
+    (List.length sh.Suite.synthesis.Pf_fits.Synthesis.ais)
+    (Array.length sh.Suite.spec.Pf_fits.Spec.dict)
+    sh.Suite.synthesis.Pf_fits.Synthesis.dict_spilled
+    (Pf_util.Table.render
+       ~header:
+         [
+           "program"; "static 1-1 %"; "dyn 1-1 %"; "code B"; "code sav %";
+           "dict"; "spilled";
+         ]
+       rows)
+
 let table c =
   let cell_rows row =
     let one cl =

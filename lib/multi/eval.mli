@@ -101,6 +101,13 @@ val power_saving_pct : row -> cell -> float
 (** The cell's FITS8 average I-cache power saving over the row's ARM16
     baseline, in percent ({!Pf_power.Account.avg_power}). *)
 
+val coverage_table : campaign -> string
+(** The shared spec's summary banner and each completed program's
+    coverage of it, read off the program's shared cell: static and
+    dynamic 1-to-1 rates, FITS code bytes, code saving over the
+    prepared ARM image, dictionary entries and spilled immediates.  A
+    program whose row failed has no line. *)
+
 val table : campaign -> string
 (** Per-program, per-ISA table: code bytes, static/dynamic 1-to-1 rates,
     FITS8 miss rate and IPC, FITS8-vs-ARM16 total power saving, output

@@ -1,5 +1,5 @@
-(** Multi-program suites: prepared benchmarks, weighted profile merging,
-    and shared-ISA synthesis.
+(** Multi-program suites: prepared benchmarks, weighted synthesis
+    inputs, and shared-ISA synthesis.
 
     A {e prepared} benchmark is the view of a recording's ARM half
     ({!Pf_dse.Explore.record_arm}): the program has been compiled and
@@ -38,30 +38,10 @@ val programs : weighting:Weighting.t -> prepared list ->
   Pf_fits.Synthesis.program list
 (** The weighted synthesis inputs for {!Pf_fits.Synthesis.synthesize_suite}. *)
 
-val merged_profile : ?weighting:Weighting.t -> prepared list -> Pf_fits.Profile.t
-(** The suite's merged profile: each program's profile scaled by its
-    weight and folded with {!Pf_fits.Profile.merge_all}.  Defaults to
-    [Dyn_count]. *)
-
-(** Per-program coverage of a shared spec, measured by translating the
-    program under it. *)
-type coverage = {
-  cov_name : string;
-  static_map_pct : float;   (** ARM insns mapped 1-to-1, static *)
-  dyn_map_pct : float;      (** same, weighted by execution counts *)
-  code_bytes_fits : int;
-  code_saving_pct : float;
-  dict_entries : int;       (** dictionary after per-program extension *)
-  spilled_imms : int;
-      (** entries this program added beyond the shared dictionary — the
-          reloadable per-program tail of §3.1 *)
-}
-
 type shared = {
   spec : Pf_fits.Spec.t;
   synthesis : Pf_fits.Synthesis.result;
   weighting : Weighting.t;
-  coverage : coverage list;  (** one per input program, in input order *)
 }
 
 val default_dict_budget : int
@@ -70,16 +50,12 @@ val default_dict_budget : int
     values an individual program (including a held-out one) still needs
     at translation time. *)
 
-val coverage_of : shared_dict_entries:int -> Pf_fits.Spec.t -> prepared -> coverage
-
 val synthesize_shared :
   ?weighting:Weighting.t -> ?dict_budget:int -> prepared list -> shared
 (** One ISA for the whole suite: weighted sites from every program feed a
-    single {!Pf_fits.Synthesis.synthesize_suite} run, then every program
-    is translated under the resulting spec to measure its coverage.
-    Defaults: [Dyn_count] weighting, {!default_dict_budget}.
+    single {!Pf_fits.Synthesis.synthesize_suite} run.  Nothing is
+    translated here; each program's coverage of the spec is its shared
+    campaign cell ({!Eval.coverage_table}).  Defaults: [Dyn_count]
+    weighting, {!default_dict_budget}.
     @raise Pf_util.Sim_error.Error if the weighting does not validate
     against the suite's names. *)
-
-val coverage_table : shared -> string
-(** Human-readable per-program coverage table with a summary banner. *)

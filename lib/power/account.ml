@@ -37,10 +37,10 @@ module Params = struct
      per-refill-bit coefficients are per-bit quantities and stay fixed. *)
   let ref_read_bits = 32 * 32 * 8
 
-  let for_geometry ?(base = default) (g : Geometry.t) =
+  let for_geometry (g : Geometry.t) =
     let read_bits = g.Geometry.assoc * g.Geometry.block_bytes * 8 in
     let scale = float_of_int read_bits /. float_of_int ref_read_bits in
-    { base with k_access = base.k_access *. scale }
+    { default with k_access = default.k_access *. scale }
 end
 
 (* Accounting is pure integer event counting; every energy is a closed-form
@@ -88,7 +88,10 @@ type t = {
   mutable peak : float;
 }
 
-let create ?(params = Params.default) geometry =
+let create ?params geometry =
+  let params =
+    match params with Some p -> p | None -> Params.for_geometry geometry
+  in
   {
     params;
     geometry;
@@ -170,8 +173,11 @@ type report = {
   cycles : int;
 }
 
-let report_of_counts ?(params = Params.default) geometry ~accesses ~toggles
-    ~refill_words ~cycles ~peak =
+let report_of_counts ?params geometry ~accesses ~toggles ~refill_words
+    ~cycles ~peak =
+  let params =
+    match params with Some p -> p | None -> Params.for_geometry geometry
+  in
   let switching = switching_energy params ~accesses ~toggles ~refill_words in
   let internal = internal_per_cycle params geometry *. float_of_int cycles in
   let leakage = leakage_per_cycle params geometry *. float_of_int cycles in

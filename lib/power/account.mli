@@ -47,17 +47,20 @@ module Params : sig
       breakdown: internal > 50 %, switching ≈ a third, leakage ≈ a tenth
       (0.35 um process, where leakage is minor). *)
 
-  val for_geometry : ?base:t -> Geometry.t -> t
-  (** Analytic scaling of [base] (default {!default}) to an arbitrary
-      cache organization, for design-space sweeps.  A read probes
-      [assoc] ways of [block_bytes] each, so [k_access] scales with
+  val for_geometry : Geometry.t -> t
+  (** The coefficients of a cache organization: {!default} scaled
+      analytically to its read width.  A read probes [assoc] ways of
+      [block_bytes] each, so [k_access] scales with
       [assoc * block_bytes * 8] relative to the reference 32-way / 32 B
       organization (8192 bits) the constants were calibrated on; at both
       paper geometries (16 K and 8 K, which share ways and block size)
-      the result equals [base] exactly, so grid points coincide with the
-      published ARM16/ARM8/FITS16/FITS8 numbers.  Cache {e size} affects
-      power through the geometry's gate count (internal and leakage
-      terms) rather than through any coefficient here. *)
+      the result equals {!default} exactly, so every paper-point figure
+      is the published ARM16/ARM8/FITS16/FITS8 number.  Cache {e size}
+      affects power through the geometry's gate count (internal and
+      leakage terms) rather than through any coefficient here; no other
+      coefficient scales, so every geometry shares [peak_window_insns].
+      This is the one power model: every account ({!create}) and every
+      sweep lane uses it. *)
 end
 
 (** {2 Closed-form energy expressions}
@@ -90,6 +93,9 @@ val window_power :
 type t
 
 val create : ?params:Params.t -> Geometry.t -> t
+(** A fresh account for one cache.  [params] defaults to
+    [Params.for_geometry geometry]; only the model's own unit tests
+    substitute other coefficients. *)
 
 val on_access : t -> toggles:int -> refilled_words:int -> unit
 (** Record one cache access (switching activity). *)
@@ -147,7 +153,8 @@ val report_of_counts :
 (** Build the same report directly from externally-maintained counters —
     the batch path used by the all-geometry sweep kernel.  Feeding the
     counters an incremental accountant would have accumulated yields the
-    bit-identical report. *)
+    bit-identical report.  [params] defaults to
+    [Params.for_geometry geometry], as in {!create}. *)
 
 val avg_power : report -> float
 (** Mean power in energy units per cycle. *)

@@ -108,8 +108,15 @@ let cache_key (req : Proto.request) =
     match req.Proto.action with
     | Proto.Synthesize -> common @ fits_fields
     | Proto.Evaluate ->
+        (* evaluate replies off the paper's read width once used the
+           16 KB power coefficients; the model line keeps a store filled
+           then from answering with that model *)
         common
-        @ [ "isa=" ^ Proto.isa_name req.Proto.isa; geom_line req.Proto.geometry ]
+        @ [
+            "power-model/2";
+            "isa=" ^ Proto.isa_name req.Proto.isa;
+            geom_line req.Proto.geometry;
+          ]
         @ (if req.Proto.isa = Proto.Fits then fits_fields else [])
     | Proto.Explore_point ->
         (* the action synthesizes with multiplier 1 whatever the
@@ -250,8 +257,8 @@ let evaluate_json ~(r : resolved) ~isa ~after_insns ~before_power
 
 (* An evaluate executes only its own ISA.  At the recording point it
    answers from the recording run itself; at any other geometry it
-   replays the recorded stream with the default power parameters, which
-   is bit-identical to a direct run there. *)
+   replays the recorded stream, which is bit-identical to a direct run
+   there and to explore-point's point for the same variant. *)
 let compute_evaluate ?traces ~(req : Proto.request) ~(r : resolved) ?max_steps
     ?deadline () =
   let g = req.Proto.geometry in

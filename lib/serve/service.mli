@@ -13,6 +13,8 @@ val cache_key : Proto.request -> string
     A registry program's digest comes from the memo when the benchmark
     was last keyed at the same scale, so a warm named key costs a table
     lookup; an inline program is encoded and hashed on every call.
+    Evaluate keys also carry a power-model version line, so no store
+    entry computed under another power model answers them.
     Raises a structured [Invalid_config] {!Pf_util.Sim_error.Error} for
     [Status]/[Shutdown], which have no result to cache. *)
 
@@ -41,10 +43,12 @@ val compute :
     are shared across requests; an explore-point reply's [trace_shared]
     field says whether its recording was already in the table.  An
     evaluate runs only its own ISA and answers from the recording run at
-    {!Pf_dse.Space.recording_point}, elsewhere from a replay with the
-    default power parameters — the bytes a direct run at that geometry
-    gives.  Results are bit-identical with or without sharing (replays
-    are read-only on the recording).  Synthesize keeps a bare counting
+    {!Pf_dse.Space.recording_point}, elsewhere from a replay — the bytes
+    a direct run at that geometry gives, with the power explore-point
+    reports for the same variant
+    ({!Pf_power.Account.Params.for_geometry} at every geometry).
+    Results are bit-identical with or without sharing (replays are
+    read-only on the recording).  Synthesize keeps a bare counting
     run. *)
 
 val envelope : degraded:bool -> Json.t -> string

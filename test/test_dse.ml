@@ -294,18 +294,11 @@ let prop_replay_equals_direct =
     ~count:12 geometry_arb
     (fun g ->
       let image, trace, recorded = Lazy.force replay_setup in
-      let params =
-        Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
-      in
       let direct_cache = C.create g in
-      let direct =
-        Pf_cpu.Arm_run.run ~cache:direct_cache ~cache_cfg:g
-          ~power_params:params image
-      in
+      let direct = Pf_cpu.Arm_run.run ~cache:direct_cache ~cache_cfg:g image in
       let replay_cache = C.create g in
       let replayed =
-        Pf_cpu.Trace.replay ~power_params:params ~cache:replay_cache
-          ~cache_cfg:g
+        Pf_cpu.Trace.replay ~cache:replay_cache ~cache_cfg:g
           ~fetch_data:(fun a -> Pf_arm.Image.word_at image a)
           trace
       in
@@ -331,19 +324,15 @@ let bits = Int64.bits_of_float
 let sweep_matches_replay gs =
   let image, trace, _ = Lazy.force replay_setup in
   let fetch_data a = Pf_arm.Image.word_at image a in
-  let params_of g =
-    Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
-  in
-  let sw = Pf_dse.Sweep.run ~params_of ~geometries:gs ~fetch_data trace in
+  let sw = Pf_dse.Sweep.run ~geometries:gs ~fetch_data trace in
   List.for_all
     (fun (i, g) ->
       let cache = C.create g in
-      let st =
-        Pf_cpu.Trace.replay ~power_params:(params_of g) ~cache ~cache_cfg:g
-          ~fetch_data trace
-      in
+      let st = Pf_cpu.Trace.replay ~cache ~cache_cfg:g ~fetch_data trace in
       let sv = sw.(i) in
-      let p = params_of g in
+      let p =
+        Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
+      in
       (* the trace stats record, bit-for-bit (floats compared as bits) *)
       st.Pf_cpu.Trace.instructions = sv.Pf_cpu.Trace.instructions
       && st.Pf_cpu.Trace.cycles = sv.Pf_cpu.Trace.cycles

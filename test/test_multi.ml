@@ -97,7 +97,7 @@ let campaign jobs = E.run ~loo:true ~jobs small_suite
 
 (* the banner prints the jobs count on purpose; everything else must match *)
 let render c =
-  S.coverage_table c.E.c_shared
+  E.coverage_table c
   ^ Pf_fits.Spec.describe c.E.c_shared.S.spec
   ^ E.table c ^ E.summary c
 
@@ -109,6 +109,21 @@ let test_jobs_determinism () =
     = c4.E.c_shared.S.spec.Pf_fits.Spec.dict);
   Alcotest.(check string) "every report identical across jobs 1/4"
     (render c1) (render c4);
+  (* the coverage table has one line per program, read off its row *)
+  let coverage_names =
+    match String.split_on_char '\n' (E.coverage_table c1) with
+    | _banner :: _header :: _rule :: lines ->
+        List.filter_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | name :: _ when name <> "" -> Some name
+            | _ -> None)
+          lines
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "one coverage line per program"
+    (List.map (fun b -> b.Pf_mibench.Registry.name) small_suite)
+    coverage_names;
   let cache_16k = Pf_harness.Experiment.cache_16k in
   Alcotest.(check bool) "each ARM16 row = a direct 16 KB run" true
     (List.for_all
@@ -180,16 +195,15 @@ let test_failed_preparation_isolated () =
 let test_shared_coverage_sane () =
   let ps = Lazy.force prepared in
   let sh = S.synthesize_shared ps in
-  Alcotest.(check int) "one coverage row per program" (List.length ps)
-    (List.length sh.S.coverage);
   List.iter
-    (fun (c : S.coverage) ->
+    (fun p ->
+      let c = E.eval_cell ~isa:E.Shared sh.S.spec p in
       Alcotest.(check bool)
-        (c.S.cov_name ^ ": static mapping rate in range") true
-        (c.S.static_map_pct >= 0. && c.S.static_map_pct <= 100.);
-      Alcotest.(check bool) (c.S.cov_name ^ ": positive code size") true
-        (c.S.code_bytes_fits > 0))
-    sh.S.coverage;
+        (S.name p ^ ": static mapping rate in range") true
+        (c.E.static_map_pct >= 0. && c.E.static_map_pct <= 100.);
+      Alcotest.(check bool) (S.name p ^ ": positive code size") true
+        (c.E.code_fits > 0))
+    ps;
   Alcotest.(check bool) "shared dictionary within budget" true
     (Array.length sh.S.spec.Pf_fits.Spec.dict <= S.default_dict_budget)
 

@@ -929,10 +929,38 @@ let direct_evaluate (req : Proto.request) ~name image =
           ("output_md5", md5 r.Pf_fits.Run.output);
         ]
 
+(* Explore-point's point for one variant of a program at a geometry. *)
+let explore_point ~traces program geometry variant =
+  let req =
+    {
+      Proto.default_request with
+      Proto.action = Proto.Explore_point;
+      program;
+      geometry;
+    }
+  in
+  match Service.compute ~traces req with
+  | Error e -> Alcotest.fail (SE.to_string e)
+  | Ok (reply, _) -> (
+      let points =
+        Option.bind (J.member "points" reply) J.to_list_opt
+        |> Option.value ~default:[]
+      in
+      match
+        List.find_opt
+          (fun p ->
+            Option.bind (J.member "variant" p) J.to_string_opt = Some variant)
+          points
+      with
+      | Some p -> p
+      | None -> Alcotest.failf "explore-point has no %s point" variant)
+
 (* Both ISAs, both weightings, the two paper geometries and one whose
    power parameters differ from the defaults (4 KB, 16-byte blocks,
    2-way), for a registry and a generated program, all served through
-   one shared table. *)
+   one shared table.  Off the paper geometries an evaluate must also
+   report what explore-point reports for its variant: one power model
+   answers both actions. *)
 let test_evaluate_oracle () =
   let traces = Pf_serve.Trace_share.create () in
   let crc32 = Pf_mibench.Registry.find_exn "crc32" in
@@ -950,12 +978,11 @@ let test_evaluate_oracle () =
       (Proto.Inline generated, "inline", Pf_armgen.Compile.program generated);
     ]
   in
+  let off_paper =
+    Pf_cache.Icache.config ~size_bytes:4096 ~block_bytes:16 ~assoc:2 ()
+  in
   let geometries =
-    [
-      Pf_dse.Space.cache_16k;
-      Pf_dse.Space.cache_8k;
-      Pf_cache.Icache.config ~size_bytes:4096 ~block_bytes:16 ~assoc:2 ();
-    ]
+    [ Pf_dse.Space.cache_16k; Pf_dse.Space.cache_8k; off_paper ]
   in
   List.iter
     (fun (program, name, image) ->
@@ -987,7 +1014,28 @@ let test_evaluate_oracle () =
                   | Ok (reply, _) ->
                       check_string label
                         (J.to_string (direct_evaluate req ~name image))
-                        (J.to_string reply))
+                        (J.to_string reply);
+                      if geometry = off_paper then begin
+                        let point =
+                          explore_point ~traces program geometry
+                            (Proto.isa_name isa)
+                        in
+                        List.iter
+                          (fun field ->
+                            let get j =
+                              match J.member field j with
+                              | Some v -> J.to_string v
+                              | None -> Alcotest.failf "%s: no %s" label field
+                            in
+                            check_string
+                              (Printf.sprintf "%s %s = explore-point" label
+                                 field)
+                              (get point) (get reply))
+                          [
+                            "instructions"; "cycles"; "ipc"; "cache_misses";
+                            "miss_rate_pm"; "power";
+                          ]
+                      end)
                 geometries)
             [ Pf_multi.Weighting.Dyn_count; Pf_multi.Weighting.Uniform ])
         [ Proto.Arm; Proto.Fits ])

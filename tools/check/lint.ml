@@ -201,6 +201,19 @@ let owned =
          campaign cell (Pf_multi.Eval.eval_cell) or a fault trial; \
          evaluate through one of those";
     };
+    (* One power model.  A cache's coefficients are a function of its
+       geometry: every account picks them in [Account.create], and the
+       sweep's lanes pick the same ones.  A caller that chose them itself
+       would give one question two answers. *)
+    {
+      path = "Pf_power.Account.Params";
+      fns = [ "for_geometry" ];
+      owners = [ "lib/power/account.ml"; "lib/dse/sweep.ml" ];
+      reason =
+        "power coefficients come from the cache geometry alone \
+         (Pf_power.Account.create); pass the geometry instead of choosing \
+         coefficients";
+    };
   ]
 
 (* Blank out comments, keeping newlines so line numbers survive: the
