@@ -13,6 +13,11 @@
     words and unknown SWIs, [Watchdog_timeout] for step-budget
     exhaustion. *)
 
+type mem
+(** Byte-addressed memory of [image.mem_size] bytes, paged: a page is
+    allocated only when first written, and an unwritten byte reads as
+    zero.  Reach it only through the load and store functions below. *)
+
 type t = {
   regs : int array;
       (** 17 registers, unsigned 32-bit: r0-r15 plus one over-provisioned
@@ -21,7 +26,7 @@ type t = {
   mutable zf : bool;
   mutable cf : bool;
   mutable vf : bool;
-  mem : Bytes.t;
+  mem : mem;
   image : Image.t;
   mutable halted : bool;
   out : Buffer.t;          (** text written by SWI print calls *)
@@ -32,8 +37,11 @@ val halt_sentinel : int
 (** Address preloaded into [lr] at startup; returning to it halts. *)
 
 val create : Image.t -> t
-(** Fresh state: memory holds the code and initialized data, [sp] points to
-    the top of memory, [lr] to {!halt_sentinel}, [pc] to the entry point. *)
+(** Fresh state: memory holds the code and initialized data and reads as
+    zero elsewhere, [sp] points to the top of memory, [lr] to
+    {!halt_sentinel}, [pc] to the entry point.  It allocates the page
+    table (one slot per 4 KB of [mem_size]) and the pages the code and
+    data occupy, never the rest of [mem_size]. *)
 
 (** Result of executing one instruction; a single mutable record is reused
     across steps to keep the simulator allocation-free on the hot path. *)

@@ -115,7 +115,7 @@ val steps : t -> int
 
 val state : t -> Pf_arm.Exec.t
 (** The architectural state — shared-memory layers read and write its
-    [mem] directly. *)
+    memory through {!Pf_arm.Exec.load_word}/{!Pf_arm.Exec.store_word}. *)
 
 val dcache : t -> Pf_cache.Icache.t
 (** The private D-cache, exposed so a coherence layer can snoop

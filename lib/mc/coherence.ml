@@ -1,11 +1,12 @@
 (* Write-through snooping-invalidate coherence over the shared data
    segment.
 
-   Each core owns a full private [Bytes.t] memory (its [Exec.t] state is
-   untouched sequential-engine state); coherence is maintained by
-   propagation: after a core executes a store into the shared window
-   [base, limit), the containing word(s) are copied from the writer's
-   memory into every other core's memory, and the affected line(s) are
+   Each core owns a full private memory (its [Exec.t] state is untouched
+   sequential-engine state, paged so that a core pays only for what it
+   writes); coherence is maintained by propagation: after a core executes
+   a store into the shared window [base, limit), the containing word(s)
+   are copied with [Exec.load_word]/[Exec.store_word] from the writer's
+   state into every other core's state, and the affected line(s) are
    snooped out of every other core's private D-cache.  Because the
    machine advances one instruction at a time under one scheduler and
    every shared store becomes globally visible before the next slice,
@@ -36,25 +37,25 @@ type t = {
   base : int;
   limit : int;
   sync_addr : int;
-  mems : Bytes.t array;
+  states : Pf_arm.Exec.t array;
   dcaches : Pf_cache.Icache.t array;
   stats : stats;
 }
 
 let where = "mc.coherence"
 
-let create ?(sync_addr = -1) ~base ~limit ~mems ~dcaches () =
+let create ?(sync_addr = -1) ~base ~limit ~states ~dcaches () =
   if limit < base then
     Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where
       "shared window [0x%x, 0x%x) is inverted" base limit;
-  if Array.length mems <> Array.length dcaches then
+  if Array.length states <> Array.length dcaches then
     Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config ~where
-      "%d memories vs %d dcaches" (Array.length mems) (Array.length dcaches);
+      "%d states vs %d dcaches" (Array.length states) (Array.length dcaches);
   {
     base;
     limit;
     sync_addr;
-    mems;
+    states;
     dcaches;
     stats =
       { stores_through = 0; words_propagated = 0; invalidations = 0;
@@ -71,11 +72,14 @@ let post_store t ~core ~addr ~words =
     if addr = t.sync_addr then s.fences <- s.fences + 1;
     let lo = addr land lnot 3 in
     let nw = max 1 words in
-    let nbytes = nw * 4 in
-    let src = t.mems.(core) in
-    for c = 0 to Array.length t.mems - 1 do
+    let src = t.states.(core) in
+    for c = 0 to Array.length t.states - 1 do
       if c <> core then begin
-        Bytes.blit src lo t.mems.(c) lo nbytes;
+        let dst = t.states.(c) in
+        for w = 0 to nw - 1 do
+          let a = lo + (w * 4) in
+          Pf_arm.Exec.store_word dst a (Pf_arm.Exec.load_word src a)
+        done;
         s.words_propagated <- s.words_propagated + nw;
         (* snoop each written word; [invalidate_addr] hits a line at most
            once (later words of the same line miss), so the count is

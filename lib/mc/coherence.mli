@@ -1,9 +1,10 @@
 (** Write-through snooping-invalidate coherence over a shared data
     window.
 
-    Cores keep full private memories; after a core stores into
-    [\[base, limit)], {!post_store} copies the containing aligned word(s)
-    from the writer's memory into every other core's memory and
+    Cores keep full private memories in their {!Pf_arm.Exec.t} states;
+    after a core stores into [\[base, limit)], {!post_store} copies the
+    containing aligned word(s) from the writer's state into every other
+    core's state ({!Pf_arm.Exec.load_word}/{!Pf_arm.Exec.store_word}) and
     invalidates the affected line(s) in every other core's private
     D-cache ({!Pf_cache.Icache.invalidate_addr}).  One store becomes
     globally visible before the next scheduler slice, so the shared
@@ -27,11 +28,11 @@ val create :
   ?sync_addr:int ->
   base:int ->
   limit:int ->
-  mems:Bytes.t array ->
+  states:Pf_arm.Exec.t array ->
   dcaches:Pf_cache.Icache.t array ->
   unit ->
   t
-(** [mems.(i)]/[dcaches.(i)] belong to core [i]; the arrays must have
+(** [states.(i)]/[dcaches.(i)] belong to core [i]; the arrays must have
     equal length.  [sync_addr] defaults to [-1] (no fence marker).
     Raises [Invalid_config] on an inverted window or mismatched
     arrays. *)

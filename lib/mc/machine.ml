@@ -63,10 +63,7 @@ let create ?shared ~sched cores =
     | Some { base; limit; sync_addr } ->
         Some
           (Coherence.create ~sync_addr ~base ~limit
-             ~mems:
-               (Array.map
-                  (fun c -> (Pf_cpu.Step.state c.step).Pf_arm.Exec.mem)
-                  cores)
+             ~states:(Array.map (fun c -> Pf_cpu.Step.state c.step) cores)
              ~dcaches:(Array.map (fun c -> Pf_cpu.Step.dcache c.step) cores)
              ())
   in

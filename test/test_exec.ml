@@ -1,6 +1,6 @@
 (* Architectural-semantics tests for the interpreter: flags, shifter,
-   conditional execution, memory widths, and the 16-bit (isize=2) mode the
-   FITS runner depends on. *)
+   conditional execution, memory widths, the 16-bit (isize=2) mode the
+   FITS runner depends on, and the paged memory against a flat one. *)
 
 module A = Pf_arm.Insn
 module E = Pf_arm.Exec
@@ -241,6 +241,195 @@ let test_step_budget () =
          { kind = Pf_util.Sim_error.Watchdog_timeout; _ } ->
          true)
 
+(* ---- paged memory == flat memory -------------------------------------- *)
+
+(* The reference: one flat [Bytes.t] of [mem_size] bytes, loaded from the
+   image word by word and checked in the same order as [Exec], raising
+   the same errors. *)
+module Flat = struct
+  let fault fmt =
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Memory_fault ~where:"arm.exec"
+      fmt
+
+  let of_image (image : Pf_arm.Image.t) =
+    let m = Bytes.make image.mem_size '\000' in
+    let poke addr w =
+      Bytes.set_int32_le m addr (Int32.of_int (Pf_util.Bits.u32 w))
+    in
+    Array.iteri (fun i w -> poke (image.code_base + (i * 4)) w) image.words;
+    List.iter
+      (fun (addr, ws) -> Array.iteri (fun i w -> poke (addr + (i * 4)) w) ws)
+      image.data_init;
+    m
+
+  let checked m what ~align addr len =
+    if addr land (align - 1) <> 0 then
+      fault "unaligned %s: 0x%x" what addr;
+    if addr < 0 || addr + len > Bytes.length m then
+      fault "memory access out of range: 0x%x" addr
+
+  let load m (w : A.mem_width) addr =
+    match w with
+    | Byte ->
+        checked m "byte load" ~align:1 addr 1;
+        Char.code (Bytes.get m addr)
+    | Half ->
+        checked m "half load" ~align:2 addr 2;
+        Bytes.get_uint16_le m addr
+    | Word ->
+        checked m "word load" ~align:4 addr 4;
+        Int32.to_int (Bytes.get_int32_le m addr) land 0xFFFF_FFFF
+
+  let store m (w : A.mem_width) addr v =
+    match w with
+    | Byte ->
+        checked m "byte store" ~align:1 addr 1;
+        Bytes.set m addr (Char.chr (v land 0xFF))
+    | Half ->
+        checked m "half store" ~align:2 addr 2;
+        Bytes.set_uint16_le m addr (v land 0xFFFF)
+    | Word ->
+        checked m "word store" ~align:4 addr 4;
+        Bytes.set_int32_le m addr (Int32.of_int (Pf_util.Bits.u32 v))
+end
+
+let paged_load st (w : A.mem_width) addr =
+  match w with
+  | Byte -> E.load_byte st addr
+  | Half -> E.load_half st addr
+  | Word -> E.load_word st addr
+
+let paged_store st (w : A.mem_width) addr v =
+  match w with
+  | Byte -> E.store_byte st addr v
+  | Half -> E.store_half st addr v
+  | Word -> E.store_word st addr v
+
+(* A value, or a fault's kind, [where] and message. *)
+let attempt f =
+  match f () with
+  | v -> Ok v
+  | exception Pf_util.Sim_error.Error e -> Error (e.kind, e.where, e.detail)
+
+let code = Array.init 8 (fun _ -> Pf_arm.Encode.encode nop)
+
+(* The default 8 MB layout, and a small one whose [mem_size] is odd and a
+   multiple of no page size, with a data blob that is unaligned and
+   straddles a 4 KB boundary. *)
+let mem_images =
+  [|
+    Pf_arm.Image.make ~entry:0x8000
+      ~data_init:[ (0x10_0000, [| 0xdeadbeef; 0x01020304 |]) ]
+      code;
+    Pf_arm.Image.make ~code_base:0x100 ~data_base:0x2000
+      ~mem_size:(0x5000 + 13) ~entry:0x100
+      ~data_init:[ (0x2000, [| 0xcafebabe |]);
+                   (0x2ffe, [| 0x11223344; 0x55667788 |]) ]
+      code;
+  |]
+
+type mem_op = { store : bool; width : A.mem_width; addr : int; value : int }
+
+let width_name : A.mem_width -> string = function
+  | Byte -> "byte" | Half -> "half" | Word -> "word"
+
+let print_case (img, ops) =
+  Printf.sprintf "image %d: %s" img
+    (String.concat "; "
+       (List.map
+          (fun o ->
+            Printf.sprintf "%s %s 0x%x%s"
+              (if o.store then "store" else "load")
+              (width_name o.width) o.addr
+              (if o.store then Printf.sprintf " <- 0x%x" o.value else ""))
+          ops))
+
+(* Addresses cluster around page boundaries of either candidate size, the
+   segments and the last bytes of memory, so stores and loads overlap and
+   the edge checks fire; a share falls anywhere in range or below zero. *)
+let addr_gen size =
+  let open QCheck.Gen in
+  let anchors =
+    List.filter (fun a -> a <= size)
+      [ 0; 0x100; 0x1000; 0x2000; 0x3000; 0x8000; 0x10000; 0x10_0000;
+        size - 16; size ]
+  in
+  frequency
+    [
+      (6, map2 ( + ) (oneofl anchors) (int_range (-8) 8));
+      (2, int_bound (size - 1));
+      (1, oneofl [ -1; -2; -4; -4096; min_int / 2 ]);
+    ]
+
+let case_gen =
+  let open QCheck.Gen in
+  int_bound (Array.length mem_images - 1) >>= fun img ->
+  let size = mem_images.(img).mem_size in
+  let op =
+    map4
+      (fun store width addr value -> { store; width; addr; value })
+      bool
+      (oneofl [ A.Byte; A.Half; A.Word ])
+      (addr_gen size) int
+  in
+  map (fun ops -> (img, ops)) (list_size (int_range 1 120) op)
+
+let prop_paged_equals_flat =
+  QCheck.Test.make ~name:"paged memory == flat memory" ~count:300
+    (QCheck.make ~print:print_case case_gen)
+    (fun (img, ops) ->
+      let image = mem_images.(img) in
+      let st = E.create image and flat = Flat.of_image image in
+      let same what a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "%s: paged and flat memories differ" what;
+        true
+      in
+      List.for_all
+        (fun o ->
+          if o.store then
+            same "store"
+              (attempt (fun () -> paged_store st o.width o.addr o.value))
+              (attempt (fun () -> Flat.store flat o.width o.addr o.value))
+          else
+            same "load"
+              (attempt (fun () -> paged_load st o.width o.addr))
+              (attempt (fun () -> Flat.load flat o.width o.addr)))
+        ops
+      (* then every byte near an access, and the whole small image *)
+      && List.for_all
+           (fun a ->
+             same (Printf.sprintf "byte 0x%x" a)
+               (attempt (fun () -> E.load_byte st a))
+               (attempt (fun () -> Flat.load flat Byte a)))
+           (if image.mem_size < 0x10000 then List.init image.mem_size Fun.id
+            else
+              List.concat_map
+                (fun o -> List.init 16 (fun d -> o.addr - 8 + d))
+                ops))
+
+(* A first store to an unwritten page must not write the page every
+   unwritten slot shares: neither another state nor a later one may see
+   it. *)
+let test_no_zero_page_aliasing () =
+  let image = Pf_arm.Image.make ~entry:0x8000 code in
+  let a = E.create image and b = E.create image in
+  E.store_word a 0x40_0000 0xcafebabe;
+  E.store_half a 0x50_0006 0xbeef;
+  E.store_byte a 0x60_000b 0x5a;
+  check_int "the writer reads its word" 0xcafebabe (E.load_word a 0x40_0000);
+  check_int "the writer reads its half" 0xbeef (E.load_half a 0x50_0006);
+  check_int "the writer reads its byte" 0x5a (E.load_byte a 0x60_000b);
+  let unseen name st =
+    check_int (name ^ ": word unseen") 0 (E.load_word st 0x40_0000);
+    check_int (name ^ ": half unseen") 0 (E.load_half st 0x50_0006);
+    check_int (name ^ ": byte unseen") 0 (E.load_byte st 0x60_000b)
+  in
+  unseen "sibling state" b;
+  unseen "later state" (E.create image);
+  check_int "an unwritten page of the writer stays zero" 0
+    (E.load_word a 0x70_0000)
+
 let tests =
   [
     Alcotest.test_case "add flags" `Quick test_add_flags;
@@ -262,4 +451,7 @@ let tests =
     Alcotest.test_case "run halts on sentinel" `Quick
       test_run_halts_on_sentinel;
     Alcotest.test_case "step budget" `Quick test_step_budget;
+    QCheck_alcotest.to_alcotest prop_paged_equals_flat;
+    Alcotest.test_case "no aliasing through the zero page" `Quick
+      test_no_zero_page_aliasing;
   ]

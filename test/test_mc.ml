@@ -9,6 +9,8 @@ module Litmus = Pf_mc.Litmus
 module Sched = Pf_mc.Sched
 module Step = Pf_cpu.Step
 module C = Pf_cache.Icache
+module A = Pf_arm.Insn
+module E = Pf_arm.Exec
 
 let build name =
   let b = Pf_mibench.Registry.find_exn name in
@@ -113,34 +115,62 @@ let test_invalidate_addr () =
 
 (* ---- coherence layer --------------------------------------------------- *)
 
-let test_coherence_propagation () =
-  let mems = [| Bytes.make 256 '\000'; Bytes.make 256 '\000' |] in
+(* Two cores' states over one tiny image; the shared window is the first
+   128 bytes of its data segment, with the fence marker at byte 64. *)
+let coherent_pair () =
+  let nop =
+    A.Dp { cond = A.AL; op = A.MOV; s = false; rd = 0; rn = 0; op2 = A.Reg 0 }
+  in
+  let image = Pf_arm.Image.make ~entry:0x8000 [| Pf_arm.Encode.encode nop |] in
+  let base = image.Pf_arm.Image.data_base in
+  let states = [| E.create image; E.create image |] in
   let dcaches =
     [| C.create (C.config ~size_bytes:1024 ());
        C.create (C.config ~size_bytes:1024 ()) |]
   in
   let coh =
-    Pf_mc.Coherence.create ~sync_addr:64 ~base:0 ~limit:128 ~mems ~dcaches ()
+    Pf_mc.Coherence.create ~sync_addr:(base + 64) ~base ~limit:(base + 128)
+      ~states ~dcaches ()
   in
-  ignore (C.access_count dcaches.(1) ~addr:32);
-  Bytes.set_int32_le mems.(0) 32 0xdeadbeefl;
-  Pf_mc.Coherence.post_store coh ~core:0 ~addr:32 ~words:1;
-  Alcotest.(check int32) "word propagated to the other core" 0xdeadbeefl
-    (Bytes.get_int32_le mems.(1) 32);
+  (base, states, dcaches, coh)
+
+let test_coherence_propagation () =
+  let base, states, dcaches, coh = coherent_pair () in
+  ignore (C.access_count dcaches.(1) ~addr:(base + 32));
+  E.store_word states.(0) (base + 32) 0xdeadbeef;
+  Pf_mc.Coherence.post_store coh ~core:0 ~addr:(base + 32) ~words:1;
+  Alcotest.(check int) "word propagated to the other core" 0xdeadbeef
+    (E.load_word states.(1) (base + 32));
   let s = Pf_mc.Coherence.stats coh in
   Alcotest.(check int) "one store through" 1 s.Pf_mc.Coherence.stores_through;
   Alcotest.(check int) "one line snooped" 1 s.Pf_mc.Coherence.invalidations;
   Alcotest.(check bool) "snooped line misses on re-access" false
-    (C.access_count dcaches.(1) ~addr:32);
+    (C.access_count dcaches.(1) ~addr:(base + 32));
   (* outside the window: nothing happens *)
-  Bytes.set_int32_le mems.(0) 200 1l;
-  Pf_mc.Coherence.post_store coh ~core:0 ~addr:200 ~words:1;
-  Alcotest.(check int32) "private store not propagated" 0l
-    (Bytes.get_int32_le mems.(1) 200);
+  E.store_word states.(0) (base + 200) 1;
+  Pf_mc.Coherence.post_store coh ~core:0 ~addr:(base + 200) ~words:1;
+  Alcotest.(check int) "private store not propagated" 0
+    (E.load_word states.(1) (base + 200));
   (* fence marker counted *)
-  Pf_mc.Coherence.post_store coh ~core:0 ~addr:64 ~words:1;
+  Pf_mc.Coherence.post_store coh ~core:0 ~addr:(base + 64) ~words:1;
   Alcotest.(check int) "fence counted" 1
     (Pf_mc.Coherence.stats coh).Pf_mc.Coherence.fences
+
+(* A byte store reports its own address and one word; the layer copies
+   the whole aligned word that contains it.  The writer's other three
+   bytes are set without propagation here, so only a whole-word copy
+   makes the reader's word equal the writer's. *)
+let test_coherence_byte_store () =
+  let base, states, _, coh = coherent_pair () in
+  E.store_word states.(0) (base + 40) 0x11223344;
+  E.store_byte states.(0) (base + 43) 0xAB;
+  Pf_mc.Coherence.post_store coh ~core:0 ~addr:(base + 43) ~words:1;
+  Alcotest.(check int) "containing word propagated" 0xAB223344
+    (E.load_word states.(1) (base + 40));
+  Alcotest.(check int) "next word untouched" 0
+    (E.load_word states.(1) (base + 44));
+  Alcotest.(check int) "one word copied" 1
+    (Pf_mc.Coherence.stats coh).Pf_mc.Coherence.words_propagated
 
 (* ---- single-core bit-identity ------------------------------------------ *)
 
@@ -358,6 +388,8 @@ let tests =
       test_invalidate_addr;
     Alcotest.test_case "coherence: write-through propagation" `Quick
       test_coherence_propagation;
+    Alcotest.test_case "coherence: a byte store propagates its word" `Quick
+      test_coherence_byte_store;
     Alcotest.test_case "single ARM core is bit-identical to Arm_run" `Slow
       test_arm_bit_identity;
     Alcotest.test_case "single FITS core is bit-identical to Fits.Run" `Slow

@@ -153,12 +153,17 @@ echo "== multicore litmus smoke: weak-memory outcomes under seed sweep =="
 # Every litmus test (SB, MP, LB, CoWW, CoRR, fenced SB, IRIW) runs across
 # a seeded interleaving sweep; any outcome outside the operational model's
 # allowed set makes the CLI exit 3, and the summary line must report zero
-# forbidden outcomes.  Two sweeps with different seeds-counts also guard
-# the histogram's jobs-independence at the CLI level.
+# forbidden outcomes.  The same 1000-seed sweep at --jobs 1 and --jobs 2
+# must print the same bytes: the histogram is jobs-independent.  A
+# one-seed round-robin MP run smokes the deterministic scheduler.
 MC_DIR=$(mktemp -d)
-"$PF" mc --litmus --seeds 200 --jobs 2 >"$MC_DIR/litmus.out"
+"$PF" mc --litmus --seeds 1000 --jobs 1 >"$MC_DIR/litmus1.out"
+"$PF" mc --litmus --seeds 1000 --jobs 2 >"$MC_DIR/litmus.out"
 grep -q "forbidden=0" "$MC_DIR/litmus.out" || {
   echo "ci: litmus sweep reported forbidden outcomes"; cat "$MC_DIR/litmus.out"; exit 1; }
+cmp -s "$MC_DIR/litmus1.out" "$MC_DIR/litmus.out" || {
+  echo "ci: litmus histogram differs between --jobs 1 and --jobs 2"
+  diff "$MC_DIR/litmus1.out" "$MC_DIR/litmus.out"; exit 1; }
 "$PF" mc --litmus --test mp --sched rr --seeds 1 >"$MC_DIR/rr.out"
 grep -q "forbidden=0" "$MC_DIR/rr.out" || {
   echo "ci: round-robin MP litmus reported forbidden outcomes"; exit 1; }
