@@ -910,6 +910,10 @@ let serve_cmd =
             max_requests;
           }
         in
+        (* a client that hangs up before its reply would otherwise kill
+           the daemon on the reply's write; ignored, the write fails with
+           EPIPE, which the daemon swallows *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         Pf_serve.Daemon.run cfg
   in
   let socket_arg =

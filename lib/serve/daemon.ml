@@ -2,18 +2,21 @@
 
    One listening Unix-domain socket; one request/response exchange per
    connection.  The accept loop stays on the calling domain and does only
-   cheap work: read the frame, parse it, answer [status]/[shutdown]
-   inline, and hand compute requests to a bounded {!Pf_util.Pool.Service}
-   — whose refusal when full is the backpressure signal, returned to the
-   client as a structured [overloaded] reply rather than an unbounded
-   queue or a dropped connection.
+   cheap work: read the frame, decode it through the memo below, answer
+   [status]/[shutdown] inline, and hand compute requests to a bounded
+   {!Pf_util.Pool.Service} — whose refusal when full is the backpressure
+   signal, returned to the client as a structured [overloaded] reply
+   rather than an unbounded queue or a dropped connection.
 
    Every failure mode a connection can produce — unreadable frame,
    malformed JSON, invalid request, simulation error, worker exception —
    is confined to that connection: the handler wraps everything in
    {!Pf_util.Sim_error.protect} and the worker pool isolates task
    exceptions, so the daemon itself only exits on [shutdown] (or
-   [max_requests], the test harness's self-stop). *)
+   [max_requests], the test harness's self-stop).  A client that hangs
+   up before its reply costs an [EPIPE] on the write, which is swallowed;
+   the signal that write would raise is the embedding process's to
+   ignore. *)
 
 module SE = Pf_util.Sim_error
 
@@ -41,6 +44,77 @@ let default_config =
     crash = None;
     max_requests = None;
   }
+
+(* ---- decode memo ---- *)
+
+module Memo = struct
+  (* A client asks the same questions again and again, so the accept
+     loop keeps each distinct compute frame's decoded request, with the
+     key a worker computes for it, keyed by the frame's exact bytes: a
+     repeated frame then costs one hash and one compare instead of a
+     parse here and a key encode (a canonical KIR print and an MD5, for
+     an inline program) on a worker.  Only the accept loop touches the
+     table, so it takes no lock.  The budget counts frame bytes; an
+     insert past it clears the table. *)
+  let budget = 16 * 1024 * 1024
+
+  type t = {
+    table : (string, Service.keyed) Hashtbl.t;
+    mutable bytes : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  type stats = { hits : int; misses : int; entries : int; bytes : int }
+
+  let create () = { table = Hashtbl.create 64; bytes = 0; hits = 0; misses = 0 }
+
+  let stats (t : t) =
+    {
+      hits = t.hits;
+      misses = t.misses;
+      entries = Hashtbl.length t.table;
+      bytes = t.bytes;
+    }
+
+  let parse frame =
+    SE.protect ~where:"serve.daemon" (fun () ->
+        match Json.of_string frame with
+        | Error msg ->
+            SE.raisef SE.Invalid_config ~where:"serve.daemon"
+              "malformed request JSON: %s" msg
+        | Ok j -> Service.keyed (Proto.request_of_json j))
+
+  let computable k =
+    match (Service.request k).Proto.action with
+    | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point -> true
+    | Proto.Status | Proto.Shutdown -> false
+
+  (* A parse error, [status] and [shutdown] are never stored.  An entry
+     whose key raised stays as a marker: its frame is parsed afresh on
+     every arrival and never stored again. *)
+  let decode t frame =
+    match Hashtbl.find_opt t.table frame with
+    | Some k when not (Service.unkeyable k) ->
+        t.hits <- t.hits + 1;
+        Ok k
+    | found ->
+        let parsed = parse frame in
+        (match parsed with
+        | Ok k when computable k ->
+            t.misses <- t.misses + 1;
+            let n = String.length frame in
+            if Option.is_none found && n <= budget then begin
+              if t.bytes + n > budget then begin
+                Hashtbl.reset t.table;
+                t.bytes <- 0
+              end;
+              Hashtbl.add t.table frame k;
+              t.bytes <- t.bytes + n
+            end
+        | _ -> ());
+        parsed
+end
 
 type counters = {
   m : Mutex.t;
@@ -100,10 +174,11 @@ let run ?(log = prerr_endline) (cfg : config) =
   in
   let inflight : Proto.response Inflight.t = Inflight.create () in
   let traces = Trace_share.create () in
-  let handle_compute (fd, req) =
+  let memo = Memo.create () in
+  let handle_compute (fd, k) =
     let resp =
       Service.handle ?store ~inflight ~traces ?budget_s:cfg.budget_s
-        ?default_max_steps:cfg.default_max_steps req
+        ?default_max_steps:cfg.default_max_steps k
     in
     count_response c resp;
     send_response fd resp;
@@ -137,6 +212,15 @@ let run ?(log = prerr_endline) (cfg : config) =
                ("shared", Json.Int shared);
                ("recorded", Json.Int recorded);
                ("entries", Json.Int entries);
+             ] );
+         ( "memo",
+           let m = Memo.stats memo in
+           Json.Obj
+             [
+               ("hits", Json.Int m.Memo.hits);
+               ("misses", Json.Int m.Memo.misses);
+               ("entries", Json.Int m.Memo.entries);
+               ("bytes", Json.Int m.Memo.bytes);
              ] );
          ("in_flight", Json.Int (Inflight.pending inflight));
          ("queue_depth", Json.Int (Pf_util.Pool.Service.depth service));
@@ -175,26 +259,21 @@ let run ?(log = prerr_endline) (cfg : config) =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | fd, _ -> (
         incr accepted;
-        let parsed =
-          SE.protect ~where:"serve.daemon" (fun () ->
-              match Proto.read_frame fd with
-              | None -> None
-              | Some bytes -> (
-                  match Json.of_string bytes with
-                  | Error msg ->
-                      SE.raisef SE.Invalid_config ~where:"serve.daemon"
-                        "malformed request JSON: %s" msg
-                  | Ok j -> Some (Proto.request_of_json j)))
+        let decoded =
+          match SE.protect ~where:"serve.daemon" (fun () -> Proto.read_frame fd)
+          with
+          | Ok (Some frame) -> Result.map Option.some (Memo.decode memo frame)
+          | (Ok None | Error _) as r -> r
         in
-        match parsed with
+        match decoded with
         | Error e ->
             let resp = Proto.Error_reply e in
             count_response c resp;
             send_response fd resp;
             close_quiet fd
         | Ok None -> close_quiet fd (* client connected and hung up *)
-        | Ok (Some req) -> (
-            match req.Proto.action with
+        | Ok (Some k) -> (
+            match (Service.request k).Proto.action with
             | Proto.Status ->
                 let resp =
                   Proto.Ok_reply
@@ -217,7 +296,7 @@ let run ?(log = prerr_endline) (cfg : config) =
                 close_quiet fd;
                 stop := true
             | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point ->
-                if not (Pf_util.Pool.Service.submit service (fd, req)) then begin
+                if not (Pf_util.Pool.Service.submit service (fd, k)) then begin
                   let resp =
                     Proto.Overloaded
                       {
@@ -239,11 +318,14 @@ let run ?(log = prerr_endline) (cfg : config) =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   Pf_util.Pool.Service.drain service;
   Option.iter Store.close store;
+  let m = Memo.stats memo in
   Mutex.lock c.m;
   log
     (Printf.sprintf
        "serve: shutdown complete served=%d hits=%d computed=%d errors=%d \
-        overloaded=%d degraded=%d coalesced=%d"
+        overloaded=%d degraded=%d coalesced=%d memo_hits=%d memo_misses=%d \
+        memo_entries=%d memo_bytes=%d"
        c.served c.hits c.computed c.errors c.overloaded c.degraded
-       (Inflight.coalesced inflight));
+       (Inflight.coalesced inflight) m.Memo.hits m.Memo.misses
+       m.Memo.entries m.Memo.bytes);
   Mutex.unlock c.m

@@ -13,7 +13,13 @@
 
     Graceful shutdown — a [shutdown] request, or [max_requests] for
     self-stopping test daemons — drains every admitted request, closes
-    and fsyncs the store, and removes the socket file. *)
+    and fsyncs the store, and removes the socket file.
+
+    A client that hangs up before reading its reply makes the reply's
+    write fail.  The daemon swallows the [EPIPE], but the write also
+    raises SIGPIPE, whose default action ends the process; an embedding
+    process must ignore SIGPIPE before {!run}, as [powerfits serve]
+    does. *)
 
 type config = {
   socket_path : string;
@@ -41,3 +47,38 @@ val run : ?log:(string -> unit) -> config -> unit
     domain for the daemon's whole life.  [log] (default stderr) receives
     startup/recovery/quarantine/shutdown lines — the CI smoke stage
     greps them. *)
+
+(** {2 Decode memo}
+
+    The accept loop decodes each request frame through a memo keyed by
+    the frame's exact bytes.  A repeated compute frame gets the decoded
+    request it had the first time, with the cache key a worker computed
+    for it, so it is neither parsed nor keyed again.  The memo only
+    replaces parsing and keying: the store, [no_cache], coalescing and
+    every reply byte behave as without it. *)
+module Memo : sig
+  type t
+
+  val budget : int
+  (** 16 MB: the frame bytes the memo holds.  An insert past it clears
+      the table; a larger frame is never stored. *)
+
+  val create : unit -> t
+
+  val decode : t -> string -> (Service.keyed, Pf_util.Sim_error.t) result
+  (** The request a frame carries: parsed and stored on a miss, taken
+      from the table on a hit.  A frame that does not parse gets the
+      structured error it gets without the memo, and a [status] or
+      [shutdown] frame, or a request whose key raised, is parsed on
+      every arrival; none of them is stored.  Call it from one domain
+      only. *)
+
+  type stats = {
+    hits : int;  (** compute frames taken from the table *)
+    misses : int;  (** compute frames parsed *)
+    entries : int;
+    bytes : int;  (** frame bytes held, at most {!budget} *)
+  }
+
+  val stats : t -> stats
+end

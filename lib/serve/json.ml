@@ -24,52 +24,82 @@ let err fmt =
 
 (* ---- printing ---- *)
 
+(* The printer runs on every reply and on each inline program's canonical
+   encode, so it works per token, not per byte: ints go digit by digit
+   straight into the buffer, and a string's escape-free runs are copied
+   whole. *)
+
+(* The escape of each byte, [""] for a byte printed as itself. *)
+let escapes =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ when c < 0x20 -> Printf.sprintf "\\u%04x" c
+      | _ -> "")
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let e = escapes.(Char.code s.[i]) in
+    if String.length e > 0 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf e;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else (
+    Buffer.add_char buf '-';
+    add_digits buf (-i))
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
+(* [xs] printed by [f], comma-separated *)
+let rec print_sep f buf = function
+  | [] -> ()
+  | [ x ] -> f buf x
+  | x :: rest ->
+      f buf x;
+      Buffer.add_char buf ',';
+      print_sep f buf rest
+
 let rec print_to buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       if not (Float.is_finite f) then err "cannot print non-finite float %h" f
       else Buffer.add_string buf (float_repr f)
   | String s -> escape_to buf s
   | List xs ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          print_to buf x)
-        xs;
+      print_sep print_to buf xs;
       Buffer.add_char buf ']'
   | Obj kvs ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          print_to buf v)
-        kvs;
+      print_sep print_member buf kvs;
       Buffer.add_char buf '}'
+
+and print_member buf (k, v) =
+  escape_to buf k;
+  Buffer.add_char buf ':';
+  print_to buf v
 
 let to_string j =
   let buf = Buffer.create 256 in
@@ -175,7 +205,11 @@ let parse_number st =
       | Some f -> Float f
       | None -> fail st (Printf.sprintf "bad number %S" tok))
 
-let rec parse_value st =
+let max_depth = 512
+
+(* [depth] containers enclose the value; one more [ or { than
+   [max_depth] fails before the parser recurses into it *)
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail st "unexpected end of input"
@@ -183,6 +217,8 @@ let rec parse_value st =
   | Some 't' -> lit st "true" (Bool true)
   | Some 'f' -> lit st "false" (Bool false)
   | Some 'n' -> lit st "null" Null
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail st (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '[' ->
       expect st '[';
       skip_ws st;
@@ -191,7 +227,7 @@ let rec parse_value st =
         List [])
       else
         let rec items acc =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -215,7 +251,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -232,7 +268,7 @@ let rec parse_value st =
 let of_string s =
   match
     let st = { s; pos = 0 } in
-    let v = parse_value st in
+    let v = parse_value st 0 in
     skip_ws st;
     if st.pos <> String.length s then fail st "trailing bytes";
     v

@@ -20,9 +20,16 @@ val to_string : t -> string
     [Invalid_config] {!Pf_util.Sim_error.Error} on a non-finite float —
     the protocol has no spelling for those. *)
 
+val max_depth : int
+(** 512: the deepest nesting of lists and objects {!of_string} accepts.
+    The parser recurses once per level, so the cap bounds the stack and
+    time a hostile document can cost; a canonical program encoding
+    nests about 24 deep. *)
+
 val of_string : string -> (t, string) result
 (** Parse one complete JSON document; [Error] carries a message with a
-    byte offset.  Never raises on malformed input — request bytes come
+    byte offset, and names the cap for a document nested deeper than
+    {!max_depth}.  Never raises on malformed input — request bytes come
     off a socket. *)
 
 (** {2 Accessors} — each returns [None] on a shape mismatch. *)

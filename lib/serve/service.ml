@@ -129,6 +129,34 @@ let cache_key (req : Proto.request) =
   in
   String.concat "\n" lines
 
+(* ---- keyed requests ---- *)
+
+(* [keyed] is the only constructor and [key] the only writer of the slot,
+   so a key is never paired with a request it was not computed from.
+   Whichever domain asks first computes it; two domains racing on an
+   empty slot compute the same key and either write wins. *)
+type key_state = Unkeyed | Key of string | Unkeyable
+
+type keyed = { req : Proto.request; slot : key_state Atomic.t }
+
+let keyed req = { req; slot = Atomic.make Unkeyed }
+let request k = k.req
+
+let key k =
+  match Atomic.get k.slot with
+  | Key s -> s
+  | Unkeyed | Unkeyable -> (
+      match cache_key k.req with
+      | s ->
+          Atomic.set k.slot (Key s);
+          s
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Atomic.set k.slot Unkeyable;
+          Printexc.raise_with_backtrace e bt)
+
+let unkeyable k = match Atomic.get k.slot with Unkeyable -> true | _ -> false
+
 (* ---- result encoders ---- *)
 
 let power_json (p : Pf_power.Account.report) =
@@ -399,8 +427,8 @@ let of_envelope s =
 
 (* ---- one request end to end ---- *)
 
-let handle ?store ?inflight ?traces ?budget_s ?default_max_steps
-    (req : Proto.request) =
+let handle ?store ?inflight ?traces ?budget_s ?default_max_steps (k : keyed) =
+  let req = k.req in
   match req.Proto.action with
   | Proto.Status | Proto.Shutdown ->
       Proto.Error_reply
@@ -414,7 +442,7 @@ let handle ?store ?inflight ?traces ?budget_s ?default_max_steps
         }
   | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point -> (
       let use_cache = store <> None && not req.Proto.no_cache in
-      match SE.protect ~where:"serve.service" (fun () -> cache_key req) with
+      match SE.protect ~where:"serve.service" (fun () -> key k) with
       | Error e -> Proto.Error_reply e
       | Ok key ->
           let lookup_or_compute () =

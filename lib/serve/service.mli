@@ -18,6 +18,24 @@ val cache_key : Proto.request -> string
     Raises a structured [Invalid_config] {!Pf_util.Sim_error.Error} for
     [Status]/[Shutdown], which have no result to cache. *)
 
+type keyed
+(** A decoded request paired with the cache key computed from it.  The
+    key is computed once, on first use by any domain, and published
+    through an atomic slot, so one [keyed] value can be shared by
+    concurrent workers. *)
+
+val keyed : Proto.request -> keyed
+(** The request, its key not yet computed. *)
+
+val request : keyed -> Proto.request
+
+val key : keyed -> string
+(** {!cache_key} of the request, computed on the first call.  Raises as
+    {!cache_key} does, on every call. *)
+
+val unkeyable : keyed -> bool
+(** Whether computing the key has raised. *)
+
 val default_budget_s : float
 (** Per-request wall-clock budget when neither the request nor the
     daemon sets one: 60 s. *)
@@ -65,9 +83,9 @@ val handle :
   ?traces:Trace_share.t ->
   ?budget_s:float ->
   ?default_max_steps:int ->
-  Proto.request ->
+  keyed ->
   Proto.response
-(** One computable request end to end: key → verified store lookup
+(** One computable request end to end: {!key} → verified store lookup
     (transient I/O retried with backoff) → on miss, {!compute} and
     commit.  With [inflight], the lookup-or-compute step is coalesced:
     concurrent calls with the same cache key block on the first and

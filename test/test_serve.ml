@@ -133,6 +133,77 @@ let test_json_roundtrip () =
     (fun bad -> check_bool ("rejects " ^ bad) true (Result.is_error (J.of_string bad)))
     [ "{"; "[1,"; "\"unterminated"; "01x"; "{\"a\" 1}"; "[1] trailing"; "" ]
 
+let test_json_depth_cap () =
+  let lists n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> "{\"a\":")) ^ "1" ^ String.make n '}'
+  in
+  List.iter
+    (fun (what, nested) ->
+      (match J.of_string (nested J.max_depth) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s at the cap must parse: %s" what msg);
+      match J.of_string (nested (J.max_depth + 1)) with
+      | Ok _ -> Alcotest.failf "%s one level past the cap must fail" what
+      | Error msg ->
+          check_bool (what ^ ": the error names the cap") true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "nesting deeper than %d at byte " J.max_depth)
+               msg))
+    [ ("lists", lists); ("objects", objects) ];
+  check_string "the offset is the opening bracket's"
+    (Printf.sprintf "nesting deeper than %d at byte %d" J.max_depth J.max_depth)
+    (Result.get_error (J.of_string (lists (J.max_depth + 1))));
+  check_bool "1 MB of [ is an error" true
+    (Result.is_error (J.of_string (String.make 1_000_000 '[')))
+
+(* Values whose printing takes every escape and digit path: quotes,
+   backslashes, control bytes, bytes >= 0x80, min_int and max_int. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [ char; oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\128'; '\255' ] ]
+  in
+  let str = string_size ~gen:byte (int_range 0 12) in
+  let int_ = oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; 10 ] ] in
+  let float_ =
+    map (fun f -> if Float.is_finite f then f else 0.5)
+      (oneof [ float; map float_of_int int_ ])
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun i -> J.Int i) int_;
+               map (fun f -> J.Float f) float_;
+               map (fun s -> J.String s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> J.List xs) (list_size (int_range 0 4) (self (n / 2))));
+               ( 1,
+                 map (fun kvs -> J.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n / 2)))) );
+             ])
+
+let prop_json_print_parse_print =
+  QCheck.Test.make ~name:"json: print -> parse -> print is the identity"
+    ~count:500
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v ->
+      let s = J.to_string v in
+      match J.of_string s with
+      | Ok v' -> J.to_string v' = s
+      | Error _ -> false)
+
 let test_kir_codec_roundtrip () =
   (* every benchmark program in the registry round-trips *)
   List.iter
@@ -448,6 +519,23 @@ let test_cache_keys () =
   check_bool "keys from 2 domains at once match the sequential ones" true
     (Pf_util.Pool.map ~jobs:2 named_key cases = keys)
 
+(* The store addresses results by these bytes: a printer or key change
+   that moves them orphans every persisted entry.  The literal is the
+   MD5 of the keys over every registry benchmark's corpus requests plus
+   one generated program's, computed before the per-token printer. *)
+let test_cache_key_bytes_pinned () =
+  let model = Pf_workgen.Calibrate.reference () in
+  let keys =
+    List.map Service.cache_key
+      (Pf_serve.Loadgen.corpus ~benchmarks:Pf_mibench.Registry.names ()
+      @ Pf_serve.Loadgen.corpus
+          ~inline:[ Pf_workgen.Generate.program ~model ~seed:7 ~index:0 ]
+          ~benchmarks:[] ())
+  in
+  check_int "keys" 154 (List.length keys);
+  check_string "md5 of every key" "895c00b606df7fec6c9eddf314ae1270"
+    (Digest.to_hex (Digest.string (String.concat "\000" keys)))
+
 let test_compute_matches_direct () =
   (* the service's arm evaluate must report exactly what a direct run
      reports *)
@@ -484,8 +572,8 @@ let test_handle_cached_bit_identical () =
   let req =
     { Proto.default_request with Proto.program = Proto.Named "crc32" }
   in
-  let first = Service.handle ~store req in
-  let second = Service.handle ~store req in
+  let first = Service.handle ~store (Service.keyed req) in
+  let second = Service.handle ~store (Service.keyed req) in
   (match (first, second) with
   | ( Proto.Ok_reply { result = r1; cached = c1; _ },
       Proto.Ok_reply { result = r2; cached = c2; _ } ) ->
@@ -495,7 +583,9 @@ let test_handle_cached_bit_identical () =
         (J.to_string r1) (J.to_string r2)
   | _ -> Alcotest.fail "expected two ok replies");
   (* no_cache bypasses but computes the same bytes *)
-  (match Service.handle ~store { req with Proto.no_cache = true } with
+  (match
+     Service.handle ~store (Service.keyed { req with Proto.no_cache = true })
+   with
   | Proto.Ok_reply { cached; result; _ } ->
       check_bool "no_cache recomputes" false cached;
       (match first with
@@ -624,8 +714,8 @@ let test_handle_with_inflight () =
   let req =
     { Proto.default_request with Proto.program = Proto.Named "crc32" }
   in
-  let first = Service.handle ~store ~inflight req in
-  let second = Service.handle ~store ~inflight req in
+  let first = Service.handle ~store ~inflight (Service.keyed req) in
+  let second = Service.handle ~store ~inflight (Service.keyed req) in
   (match (first, second) with
   | ( Proto.Ok_reply { result = r1; cached = c1; _ },
       Proto.Ok_reply { result = r2; cached = c2; _ } ) ->
@@ -701,6 +791,18 @@ let test_daemon_end_to_end () =
             (J.to_string r2)
       | _ -> Alcotest.fail "expected a cached reply after restart")
 
+(* One exchange of raw frame bytes, for frames no client would build. *)
+let raw_exchange sock frame =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      Proto.write_frame fd frame;
+      match Option.map J.of_string (Proto.read_frame fd) with
+      | Some (Ok j) -> Proto.response_of_json j
+      | _ -> Alcotest.fail "no parseable reply")
+
 let test_daemon_error_isolation () =
   with_daemon (fun sock ->
       (* unknown benchmark: structured error reply, daemon stays up *)
@@ -719,6 +821,15 @@ let test_daemon_error_isolation () =
       | Proto.Error_reply e ->
           check_bool "watchdog kind" true (e.SE.kind = SE.Watchdog_timeout)
       | _ -> Alcotest.fail "expected watchdog reply");
+      (* 1 MB of [ nests far past the parser's cap *)
+      (match raw_exchange sock (String.make 1_000_000 '[') with
+      | Proto.Error_reply e ->
+          check_bool "deep frame: invalid-config" true
+            (e.SE.kind = SE.Invalid_config)
+      | _ -> Alcotest.fail "expected an error reply to a deep frame");
+      (match Pf_serve.Client.status ~socket:sock () with
+      | Proto.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "status must answer after a deep frame");
       (* and the daemon still answers *)
       match Pf_serve.Client.request ~socket:sock Proto.default_request with
       | Proto.Ok_reply _ -> ()
@@ -743,6 +854,148 @@ let test_daemon_ill_formed_inline () =
       match Pf_serve.Client.request ~socket:sock Proto.default_request with
       | Proto.Ok_reply _ -> ()
       | _ -> Alcotest.fail "daemon should survive an ill-formed program")
+
+(* ---- decode memo ---- *)
+
+module Memo = Pf_serve.Daemon.Memo
+
+let frame_of req = J.to_string (Proto.request_to_json req)
+
+(* today's decode, without the memo *)
+let direct frame =
+  match J.of_string frame with
+  | Ok j ->
+      let req = Proto.request_of_json j in
+      (req, Service.cache_key req)
+  | Error msg -> Alcotest.fail msg
+
+let decoded m frame =
+  match Memo.decode m frame with
+  | Ok k -> k
+  | Error e -> Alcotest.fail (SE.to_string e)
+
+let generated seed =
+  Pf_workgen.Generate.program ~model:(Pf_workgen.Calibrate.reference ()) ~seed
+    ~index:0
+
+let test_memo_transparent () =
+  let p = generated 3 in
+  let corpus =
+    Pf_serve.Loadgen.corpus ~inline:[ p ]
+      ~benchmarks:Pf_serve.Loadgen.default_benchmarks ()
+  in
+  let m = Memo.create () in
+  List.iter
+    (fun req ->
+      let frame = frame_of req in
+      let want_req, want_key = direct frame in
+      List.iter
+        (fun pass ->
+          let k = decoded m frame in
+          check_bool (pass ^ ": the request a direct decode gives") true
+            (Service.request k = want_req);
+          check_string (pass ^ ": the key a direct decode gives") want_key
+            (Service.key k))
+        [ "miss"; "hit" ])
+    corpus;
+  let n = List.length corpus in
+  let st = Memo.stats m in
+  check_int "one miss per frame" n st.Memo.misses;
+  check_int "one hit per frame" n st.Memo.hits;
+  check_int "one entry per frame" n st.Memo.entries;
+  (* The isa follows the program in the frame, so two evaluates of one
+     inline program differ only past their first 4096 bytes. *)
+  let evaluate isa =
+    frame_of
+      { Proto.default_request with Proto.program = Proto.Inline p; isa }
+  in
+  let arm = evaluate Proto.Arm and fits = evaluate Proto.Fits in
+  check_bool "the frames share their first 4096 bytes" true
+    (String.length arm > 4096
+    && String.sub arm 0 4096 = String.sub fits 0 4096);
+  let arm_key = Service.key (decoded m arm) in
+  let fits_key = Service.key (decoded m fits) in
+  check_bool "ARM and FITS evaluates keep distinct keys" true
+    (arm_key <> fits_key);
+  check_string "ARM key" (snd (direct arm)) arm_key;
+  check_string "FITS key" (snd (direct fits)) fits_key
+
+let test_memo_never_stores () =
+  let m = Memo.create () in
+  let bad = "{\"action\": \"evaluate\", " in
+  let first = Memo.decode m bad and second = Memo.decode m bad in
+  check_bool "a malformed frame errs twice alike" true
+    (Result.is_error first && first = second);
+  let status = frame_of { Proto.default_request with Proto.action = Proto.Status } in
+  ignore (decoded m status);
+  ignore (decoded m status);
+  check_int "neither is stored" 0 (Memo.stats m).Memo.entries;
+  check_int "neither counts as a compute frame" 0
+    ((Memo.stats m).Memo.misses + (Memo.stats m).Memo.hits);
+  (* a request whose key raises is parsed afresh on every arrival *)
+  let nope = frame_of { Proto.default_request with Proto.program = Proto.Named "nope" } in
+  let k1 = decoded m nope in
+  check_bool "its key raises" true
+    (Result.is_error (SE.protect ~where:"t" (fun () -> Service.key k1)));
+  let k2 = decoded m nope in
+  check_bool "the next arrival is parsed afresh" true (k1 != k2);
+  check_int "no hit" 0 (Memo.stats m).Memo.hits
+
+let test_memo_budget () =
+  let m = Memo.create () in
+  let json = frame_of Proto.default_request in
+  (* leading whitespace makes distinct frames of one request *)
+  let padded n = String.make (n - String.length json) ' ' ^ json in
+  let quarter = Memo.budget / 4 in
+  let bytes_ok () =
+    check_bool "bytes within the budget" true
+      ((Memo.stats m).Memo.bytes <= Memo.budget)
+  in
+  List.iter
+    (fun i ->
+      ignore (decoded m (padded (quarter + i)));
+      bytes_ok ())
+    [ 0; 1; 2 ];
+  check_int "three entries" 3 (Memo.stats m).Memo.entries;
+  ignore (decoded m (padded (quarter + 3)));
+  bytes_ok ();
+  let st = Memo.stats m in
+  check_int "the fourth insert cleared the table" 1 st.Memo.entries;
+  check_int "and counts only itself" (quarter + 3) st.Memo.bytes;
+  ignore (decoded m (padded quarter));
+  check_int "a cleared frame misses again" 5 (Memo.stats m).Memo.misses;
+  let huge = padded (Memo.budget + 1) in
+  ignore (decoded m huge);
+  ignore (decoded m huge);
+  check_int "a frame past the budget is never stored" 2
+    (Memo.stats m).Memo.entries;
+  check_int "and misses every time" 7 (Memo.stats m).Memo.misses;
+  bytes_ok ()
+
+let test_daemon_memo_hit () =
+  let store_dir = tmpdir "memo-store" in
+  let req =
+    { Proto.default_request with Proto.program = Proto.Inline (generated 5) }
+  in
+  with_daemon ~store_dir (fun sock ->
+      (match
+         ( Pf_serve.Client.request ~socket:sock req,
+           Pf_serve.Client.request ~socket:sock req )
+       with
+      | ( Proto.Ok_reply { result = r1; cached = false; _ },
+          Proto.Ok_reply { result = r2; cached = true; _ } ) ->
+          check_string "memo hit reply bit-identical" (J.to_string r1)
+            (J.to_string r2)
+      | _ -> Alcotest.fail "expected computed then cached");
+      match Pf_serve.Client.status ~socket:sock () with
+      | Proto.Ok_reply { result; _ } ->
+          let memo name =
+            Option.bind (J.member "memo" result) (J.member name)
+            |> Fun.flip Option.bind J.to_int_opt
+          in
+          check_bool "one miss, one hit" true
+            (memo "misses" = Some 1 && memo "hits" = Some 1)
+      | _ -> Alcotest.fail "status failed")
 
 let test_daemon_backpressure () =
   (* one worker, queue of one, six slow requests at once: at least one
@@ -1087,6 +1340,8 @@ let tests =
     Alcotest.test_case "atomic: crash-point matrix" `Quick
       test_atomic_crash_points;
     Alcotest.test_case "json: roundtrip + malformed" `Quick test_json_roundtrip;
+    Alcotest.test_case "json: nesting depth cap" `Quick test_json_depth_cap;
+    QCheck_alcotest.to_alcotest prop_json_print_parse_print;
     Alcotest.test_case "kir codec: suite roundtrip" `Quick
       test_kir_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_record_roundtrip;
@@ -1102,6 +1357,8 @@ let tests =
       test_proto_roundtrip;
     Alcotest.test_case "proto: framing" `Quick test_frame_roundtrip;
     Alcotest.test_case "service: cache keys" `Quick test_cache_keys;
+    Alcotest.test_case "service: cache-key bytes pinned" `Quick
+      test_cache_key_bytes_pinned;
     Alcotest.test_case "service: matches direct run" `Quick
       test_compute_matches_direct;
     Alcotest.test_case "service: cached reply bit-identical" `Quick
@@ -1128,4 +1385,11 @@ let tests =
       test_trace_sharing;
     Alcotest.test_case "daemon: ill-formed inline program" `Slow
       test_daemon_ill_formed_inline;
+    Alcotest.test_case "memo: transparent, keyed by the whole frame" `Quick
+      test_memo_transparent;
+    Alcotest.test_case "memo: errors, control and unkeyable frames" `Quick
+      test_memo_never_stores;
+    Alcotest.test_case "memo: byte budget" `Quick test_memo_budget;
+    Alcotest.test_case "daemon: memo hit replies bit-identical" `Slow
+      test_daemon_memo_hit;
   ]

@@ -2,7 +2,8 @@
 # One-command CI gate: lint, build, full test suite, then end-to-end
 # smokes of the engines, of structured CLI errors for bad count flags
 # (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
-# sweep checked against its replay oracle), serve, population and mc, of
+# sweep checked against its replay oracle), serve (crash recovery, store
+# faults, clients that hang up, the decode memo), population and mc, of
 # the perfbench workloads' oracles and of the bench/probe.exe views.
 #
 #   ./tools/ci.sh
@@ -135,6 +136,42 @@ echo "== serve smoke: store-fault campaign =="
 FAULT_DIR=$(mktemp -d)
 dune exec bin/powerfits.exe -- serve --selftest "$FAULT_DIR"
 rm -rf "$FAULT_DIR"
+
+echo "== serve smoke: clients that hang up =="
+# Twenty clients each send a status frame and hang up without reading
+# the reply.  The daemon must survive every one of them (an unignored
+# SIGPIPE on the reply's write once ended it with exit 141) and then
+# answer a normal load run; --max-requests lets it stop by itself.
+HUP_DIR=$(mktemp -d)
+SOCK="$HUP_DIR/pf.sock"
+dune build tools/check/hangup.exe
+"$PF" serve --socket "$SOCK" --jobs 2 --max-requests 24 \
+  >"$HUP_DIR/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_for_sock
+./_build/default/tools/check/hangup.exe --socket "$SOCK" --count 20
+kill -0 "$SERVE_PID" 2>/dev/null || {
+  echo "ci: daemon died on a client that hung up"; cat "$HUP_DIR/serve.log"; exit 1; }
+"$LOADGEN" --socket "$SOCK" --requests 4 --conns 1
+wait "$SERVE_PID" || {
+  echo "ci: daemon exited non-zero after hang-ups"; cat "$HUP_DIR/serve.log"; exit 1; }
+rm -rf "$HUP_DIR"
+
+echo "== serve smoke: decode memo over inline programs =="
+# Two generated programs shipped inline beside the named corpus: every
+# request must be answered without error, and repeated frames must be
+# served from the daemon's decode memo (memo_hits in the shutdown line).
+MEMO_DIR=$(mktemp -d)
+SOCK="$MEMO_DIR/pf.sock"
+"$PF" serve --socket "$SOCK" --store "$MEMO_DIR/store" --jobs 2 --no-fsync \
+  --max-requests 200 >"$MEMO_DIR/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_for_sock
+"$LOADGEN" --socket "$SOCK" --requests 200 --conns 2 --corpus generated:2:7
+wait "$SERVE_PID"
+grep -Eq "errors=0 .*memo_hits=[1-9]" "$MEMO_DIR/serve.log" || {
+  echo "ci: memo smoke saw errors or no memo hits"; cat "$MEMO_DIR/serve.log"; exit 1; }
+rm -rf "$MEMO_DIR"
 
 echo "== population smoke: seeded run, jobs-independent digest =="
 # A 64-program campaign at two jobs counts: the stdout report (digest,
