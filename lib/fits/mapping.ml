@@ -523,6 +523,10 @@ let plan_length = function
   | P_seq l -> List.length l
   | P_branch _ -> 1
 
+let may_change_plan spec (od : Spec.opdef) (insn : A.t) =
+  op_covers spec od insn
+  || (A.cond_of insn <> A.AL && op_covers spec od (strip_cond insn))
+
 (* PC-relative literal-pool loads are the one place ARM code reads its own
    code segment.  FITS replaces the pool with the immediate dictionary
    (paper §3.3): the load becomes a single MovD carrying the pool's value,

@@ -58,6 +58,14 @@ val plan : Spec.t -> pc:int -> A.t -> plan
 val plan_length : plan -> int
 (** Sequence length; branches count optimistically as 1 (near form). *)
 
+val may_change_plan : Spec.t -> Spec.opdef -> A.t -> bool
+(** Whether appending [od] to [spec]'s opcodes ({!Spec.with_ais}) can
+    change the {!plan} of [insn]: [true] iff [od] covers [insn] or, when
+    [insn] is predicated, its condition-stripped base (the skip + inner
+    path).  When it is [false] the plan stays the same: {!plan} takes
+    the first covering opcode in spec order, and expansions use only the
+    fixed SIS. *)
+
 val seq_skip : Spec.t -> cond:A.cond -> count:int -> fdesc
 (** The SK (skip-unless-cond) instruction used for predication fallback
     and far conditional branches; exposed for the layout phase. *)

@@ -315,15 +315,12 @@ let synthesize_suite ?(static_weight = 1.0) ?(ais_groups = 5)
   let base = Spec.base ~dict_head:dict_head_vals ~reglists in
   (* current mapping length per site under the evolving spec *)
   let len = Array.make (Array.length sites) 1 in
-  let compute_lens spec =
-    Array.iteri
-      (fun i s ->
-        len.(i) <-
-          Mapping.plan_length
-            (Mapping.plan_in_image spec s.img ~pc:s.pc s.insn))
-      sites
+  let replan spec i =
+    let s = sites.(i) in
+    len.(i) <-
+      Mapping.plan_length (Mapping.plan_in_image spec s.img ~pc:s.pc s.insn)
   in
-  compute_lens base;
+  Array.iteri (fun i _ -> replan base i) sites;
   (* candidate pool with per-site coverage lists *)
   let cand_tbl = Hashtbl.create 64 in
   Array.iteri
@@ -350,11 +347,23 @@ let synthesize_suite ?(static_weight = 1.0) ?(ais_groups = 5)
            allow_two_op_ais || c.fmt <> Spec.Fmt_operate2)
   in
   let candidates_considered = List.length candidates in
-  (* verify candidate coverage exactly with a trial opdef *)
-  let trial_covers spec (c : cand) i =
-    let od = opdef_of_cand ~id:(-1) ~group:0 ~sub:0 c in
-    ignore spec;
-    Mapping.op_covers spec od sites.(i).insn
+  (* Keep each candidate's sites that a trial opdef covers exactly.
+     Coverage reads the spec only through its dictionary and register
+     lists, which allocation never changes, so one test against [base]
+     holds for the whole loop; the kept sites stay in list order. *)
+  let candidates =
+    List.map
+      (fun (c, site_idxs) ->
+        let od = opdef_of_cand ~id:(-1) ~group:0 ~sub:0 c in
+        (c, List.filter (fun i -> Mapping.op_covers base od sites.(i).insn)
+              site_idxs))
+      candidates
+  in
+  (* sites whose plan is still longer than one instruction; a length-1
+     plan never changes again *)
+  let open_sites =
+    ref (List.filter (fun i -> len.(i) > 1)
+           (List.init (Array.length sites) Fun.id))
   in
   let sp = base_space ~ais_groups () in
   let ais = ref [] in
@@ -366,27 +375,27 @@ let synthesize_suite ?(static_weight = 1.0) ?(ais_groups = 5)
     (* benefit of each remaining candidate under current lens *)
     let scored =
       List.filter_map
-        (fun (c, site_idxs) ->
+        (fun (c, covered) ->
           let b =
             List.fold_left
               (fun acc i ->
-                if len.(i) > 1 && trial_covers !spec c i then
+                if len.(i) > 1 then
                   acc +. (weight sites.(i) *. float_of_int (len.(i) - 1))
                 else acc)
-              0.0 site_idxs
+              0.0 covered
           in
-          if b > 0.0 then Some (c, site_idxs, b) else None)
+          if b > 0.0 then Some (c, b) else None)
         !remaining
     in
     let sorted =
-      List.sort (fun (_, _, b1) (_, _, b2) -> compare b2 b1) scored
+      List.sort (fun (_, b1) (_, b2) -> compare b2 b1) scored
     in
     (* place the most beneficial candidate that still fits; skipping an
        unplaceable operate3/memory candidate must not strand cheaper
        sub-op candidates further down the list *)
     let rec place_first = function
       | [] -> None
-      | (c, _, _) :: tl -> (
+      | (c, _) :: tl -> (
           let placed =
             match c.fmt with
             | Spec.Fmt_operate2 -> take_slot sp
@@ -407,7 +416,15 @@ let synthesize_suite ?(static_weight = 1.0) ?(ais_groups = 5)
         incr next_id;
         ais := od :: !ais;
         spec := Spec.with_ais !spec [ od ];
-        compute_lens !spec;
+        (* re-plan only the sites the new opcode can reach
+           ({!Mapping.may_change_plan}) *)
+        open_sites :=
+          List.filter
+            (fun i ->
+              if Mapping.may_change_plan !spec od sites.(i).insn then
+                replan !spec i;
+              len.(i) > 1)
+            !open_sites;
         remaining := List.filter (fun (c, _) -> c <> best) !remaining);
     if !remaining = [] then continue_alloc := false
   done;

@@ -120,7 +120,7 @@ type counters = {
   m : Mutex.t;
   mutable served : int;  (* responses written, any status *)
   mutable hits : int;
-  mutable computed : int;
+  mutable computed : int;  (* uncached compute replies *)
   mutable errors : int;
   mutable overloaded : int;
   mutable degraded : int;
@@ -142,6 +142,12 @@ let count_response c resp =
       if degraded then c.degraded <- c.degraded + 1
   | Proto.Error_reply _ -> c.errors <- c.errors + 1
   | Proto.Overloaded _ -> c.overloaded <- c.overloaded + 1);
+  Mutex.unlock c.m
+
+(* a status or shutdown reply: served, neither a hit nor computed *)
+let count_control c =
+  Mutex.lock c.m;
+  c.served <- c.served + 1;
   Mutex.unlock c.m
 
 let run ?(log = prerr_endline) (cfg : config) =
@@ -279,7 +285,7 @@ let run ?(log = prerr_endline) (cfg : config) =
                   Proto.Ok_reply
                     { result = status_json (); cached = false; degraded = false }
                 in
-                count_response c resp;
+                count_control c;
                 send_response fd resp;
                 close_quiet fd
             | Proto.Shutdown ->
@@ -291,7 +297,7 @@ let run ?(log = prerr_endline) (cfg : config) =
                       degraded = false;
                     }
                 in
-                count_response c resp;
+                count_control c;
                 send_response fd resp;
                 close_quiet fd;
                 stop := true

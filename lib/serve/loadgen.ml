@@ -81,27 +81,27 @@ let run ?(benchmarks = default_benchmarks) ?(inline = [])
      connections: the request *set* is a function of (seed, requests)
      alone, independent of conns *)
   let rng = Pf_util.Rng.create seed in
-  let plan =
-    Array.init requests (fun _ ->
-        pool.(Pf_util.Rng.int rng unique_keys))
-  in
+  let drawn = Array.init requests (fun _ -> Pf_util.Rng.int rng unique_keys) in
+  let plan = Array.map (fun i -> pool.(i)) drawn in
   (* warm = not the plan's first request on its cache key.  First touches
      pay the compute (synthesis, simulation); everything after should be
      a store hit or coalesced wait, so splitting the percentiles
      separates steady-state serving latency from cold-start compute.
      The mask is a function of the plan alone, deterministic and
-     conns-independent like the plan itself. *)
+     conns-independent like the plan itself.  Each drawn corpus entry is
+     keyed once; entries that alias one key (gsm, gsm.decode) share it. *)
   let warm_at =
+    let keys = Array.map (fun req -> lazy (Service.cache_key req)) pool in
     let seen = Hashtbl.create 64 in
     Array.map
-      (fun req ->
-        let key = Service.cache_key req in
+      (fun i ->
+        let key = Lazy.force keys.(i) in
         if Hashtbl.mem seen key then true
         else begin
           Hashtbl.add seen key ();
           false
         end)
-      plan
+      drawn
   in
   let t0 = now_ms () in
   let per_conn =

@@ -21,6 +21,7 @@ let () =
       ("parallel", Test_parallel.tests);
       ("fault", Test_fault.tests);
       ("fits", Test_fits.tests);
+      ("synthesis", Test_synthesis.tests);
       ("multi", Test_multi.tests);
       ("alloc", Test_alloc.tests);
       ("dse", Test_dse.tests);

@@ -997,6 +997,24 @@ let test_daemon_memo_hit () =
             (memo "misses" = Some 1 && memo "hits" = Some 1)
       | _ -> Alcotest.fail "status failed")
 
+let test_daemon_counts_only_computes () =
+  (* status replies are served but never computed *)
+  with_daemon (fun sock ->
+      for _ = 1 to 3 do
+        ignore (Pf_serve.Client.status ~socket:sock ())
+      done;
+      (match Pf_serve.Client.request ~socket:sock Proto.default_request with
+      | Proto.Ok_reply { cached = false; _ } -> ()
+      | _ -> Alcotest.fail "expected a computed reply");
+      match Pf_serve.Client.status ~socket:sock () with
+      | Proto.Ok_reply { result; _ } ->
+          let count name = Option.bind (J.member name result) J.to_int_opt in
+          check_bool "computed counts the one compute" true
+            (count "computed" = Some 1);
+          check_bool "served counts every reply before this one" true
+            (count "served" = Some 4)
+      | _ -> Alcotest.fail "status failed")
+
 let test_daemon_backpressure () =
   (* one worker, queue of one, six slow requests at once: at least one
      must be refused with a structured overloaded reply, none may error *)
@@ -1050,6 +1068,8 @@ let test_loadgen_against_daemon () =
       check_bool "warm subset is proper and non-empty" true
         (r.Pf_serve.Loadgen.warm_requests > 0
         && r.Pf_serve.Loadgen.warm_requests < r.Pf_serve.Loadgen.requests);
+      (* the mask is a function of (seed, requests, corpus) alone *)
+      check_int "warm requests for seed 5" 27 r.Pf_serve.Loadgen.warm_requests;
       check_bool "warm percentiles populated" true
         (r.Pf_serve.Loadgen.warm_p50_ms >= 0.
         && r.Pf_serve.Loadgen.warm_p50_ms <= r.Pf_serve.Loadgen.warm_p99_ms))
@@ -1375,6 +1395,8 @@ let tests =
       test_daemon_end_to_end;
     Alcotest.test_case "daemon: error isolation" `Slow
       test_daemon_error_isolation;
+    Alcotest.test_case "daemon: computed counts only computes" `Slow
+      test_daemon_counts_only_computes;
     Alcotest.test_case "daemon: backpressure" `Slow test_daemon_backpressure;
     Alcotest.test_case "daemon: loadgen run" `Slow test_loadgen_against_daemon;
     Alcotest.test_case "service: evaluate equals the direct-run oracle" `Slow

@@ -3,8 +3,9 @@
 # smokes of the engines, of structured CLI errors for bad count flags
 # (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
 # sweep checked against its replay oracle), serve (crash recovery, store
-# faults, clients that hang up, the decode memo), population and mc, of
-# the perfbench workloads' oracles and of the bench/probe.exe views.
+# faults, clients that hang up, the decode memo), population, the
+# leave-one-out multi campaign and mc, of the perfbench workloads' oracles
+# and of the bench/probe.exe views.
 #
 #   ./tools/ci.sh
 #
@@ -185,6 +186,20 @@ cmp -s "$POP_DIR/j1.out" "$POP_DIR/j3.out" || {
 grep -q "population digest: " "$POP_DIR/j1.out" || {
   echo "ci: population report lacks a digest line"; exit 1; }
 rm -rf "$POP_DIR"
+
+echo "== multi smoke: leave-one-out campaign, jobs-independent =="
+# Shared, per-application and leave-one-out ISAs for four programs: nine
+# ISA syntheses, the synthesis-heavy campaign.  Its report must be
+# byte-identical at --jobs 1 and --jobs 2.
+MULTI_DIR=$(mktemp -d)
+for j in 1 2; do
+  "$PF" multi --loo --programs crc32,sha,qsort,fft --jobs "$j" \
+    >"$MULTI_DIR/j$j.out"
+done
+cmp -s "$MULTI_DIR/j1.out" "$MULTI_DIR/j2.out" || {
+  echo "ci: multi --loo report differs between --jobs 1 and --jobs 2"
+  diff "$MULTI_DIR/j1.out" "$MULTI_DIR/j2.out"; exit 1; }
+rm -rf "$MULTI_DIR"
 
 echo "== multicore litmus smoke: weak-memory outcomes under seed sweep =="
 # Every litmus test (SB, MP, LB, CoWW, CoRR, fenced SB, IRIW) runs across
