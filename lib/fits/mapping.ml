@@ -40,17 +40,20 @@ let tr = Spec.temp_reg
 let lit_fits ~scale v = v >= 0 && v land ((1 lsl scale) - 1) = 0
                         && v lsr scale <= 15
 
-let dict_head_index spec v =
-  match Spec.dict_index spec v with
-  | Some i when i < 16 -> Some i
-  | Some _ | None -> None
+(* Whether [v] is among the 16 dictionary entries a 4-bit field can
+   name.  {!Spec.dict_index} returns the first match, so scanning only
+   the head is the same test. *)
+let in_dict_head spec v =
+  let v = Bits.u32 v and dict = spec.Spec.dict in
+  let n = min 16 (Array.length dict) in
+  let rec go i = i < n && (dict.(i) = v || go (i + 1)) in
+  go 0
 
-(* Does opdef [od] cover [insn] one-to-one? *)
-let op_covers spec (od : Spec.opdef) (insn : A.t) =
+(* Does opdef [od] cover [insn], whose key is [pk], one-to-one? *)
+let covers_key spec (od : Spec.opdef) (pk : Opkey.predicated) (insn : A.t) =
   match od.Spec.key with
   | None -> false
   | Some okey -> (
-      let pk = Opkey.of_insn insn in
       if od.Spec.cond <> pk.Opkey.cond then false
       else
         match (okey, insn) with
@@ -95,7 +98,7 @@ let op_covers spec (od : Spec.opdef) (insn : A.t) =
                     in
                     match od.Spec.imm with
                     | Spec.Imm_lit { scale } -> lit_fits ~scale v
-                    | Spec.Imm_dict -> dict_head_index spec v <> None
+                    | Spec.Imm_dict -> in_dict_head spec v
                     | Spec.Imm_none -> false)
                 | Opkey.Sh_shift_imm (k1, amt), A.Reg_shift (rm, k2, n) ->
                     k1 = k2
@@ -124,7 +127,7 @@ let op_covers spec (od : Spec.opdef) (insn : A.t) =
             | Opkey.M_imm, A.Ofs_imm ofs -> (
                 match od.Spec.imm with
                 | Spec.Imm_lit { scale } -> lit_fits ~scale ofs
-                | Spec.Imm_dict -> dict_head_index spec ofs <> None
+                | Spec.Imm_dict -> in_dict_head spec ofs
                 | Spec.Imm_none -> false)
             | Opkey.M_reg, A.Ofs_reg (_, A.LSL, 0) -> true
             | Opkey.M_reg_shift k, A.Ofs_reg (_, A.LSL, n) -> k = n && n > 0
@@ -142,11 +145,15 @@ let op_covers spec (od : Spec.opdef) (insn : A.t) =
             _ ) ->
             false)
 
+let op_covers spec od insn = covers_key spec od (Opkey.of_insn insn) insn
+
 let covered spec insn =
+  let pk = Opkey.of_insn insn in
   let n = Array.length spec.Spec.ops in
   let rec go i =
     if i >= n then None
-    else if op_covers spec spec.Spec.ops.(i) insn then Some spec.Spec.ops.(i)
+    else if covers_key spec spec.Spec.ops.(i) pk insn then
+      Some spec.Spec.ops.(i)
     else go (i + 1)
   in
   go 0

@@ -18,12 +18,14 @@ let connect ?policy path =
 
 let request ?policy ~socket req =
   let exchange () =
+    (* encode first: the daemon reads each frame on its one accept loop,
+       so a connection should not wait on its client's encoder *)
+    let payload = Json.to_string (Proto.request_to_json req) in
     let fd = connect ?policy socket in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        Proto.write_frame fd
-          (Json.to_string (Proto.request_to_json req));
+        Proto.write_frame fd payload;
         match Proto.read_frame fd with
         | None -> err "daemon closed the connection without a reply"
         | Some bytes -> (

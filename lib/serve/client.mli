@@ -3,7 +3,10 @@
 
     Connecting retries with {!Retry} backoff, so a client started
     concurrently with the daemon (the CI smoke stage, the load
-    generator) tolerates the window before the socket is bound. *)
+    generator) tolerates the window before the socket is bound.  A
+    request is encoded before its connection opens, so the daemon's
+    accept loop, which reads each frame under a deadline
+    ({!Daemon.frame_deadline_s}), never waits on a client's encoder. *)
 
 val request :
   ?policy:Retry.policy -> socket:string -> Proto.request -> Proto.response

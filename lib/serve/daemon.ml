@@ -2,21 +2,22 @@
 
    One listening Unix-domain socket; one request/response exchange per
    connection.  The accept loop stays on the calling domain and does only
-   cheap work: read the frame, decode it through the memo below, answer
-   [status]/[shutdown] inline, and hand compute requests to a bounded
+   cheap work: read the frame under a per-read deadline, decode it
+   through the memo below, answer [status]/[shutdown] and repeated warm
+   hits inline, and hand compute requests to a bounded
    {!Pf_util.Pool.Service} — whose refusal when full is the backpressure
    signal, returned to the client as a structured [overloaded] reply
    rather than an unbounded queue or a dropped connection.
 
-   Every failure mode a connection can produce — unreadable frame,
-   malformed JSON, invalid request, simulation error, worker exception —
-   is confined to that connection: the handler wraps everything in
-   {!Pf_util.Sim_error.protect} and the worker pool isolates task
-   exceptions, so the daemon itself only exits on [shutdown] (or
-   [max_requests], the test harness's self-stop).  A client that hangs
-   up before its reply costs an [EPIPE] on the write, which is swallowed;
-   the signal that write would raise is the embedding process's to
-   ignore. *)
+   Every failure mode a connection can produce — stalled or unreadable
+   frame, malformed JSON, invalid request, simulation error, worker
+   exception — is confined to that connection: the handler wraps
+   everything in {!Pf_util.Sim_error.protect} and the worker pool
+   isolates task exceptions, so the daemon itself only exits on
+   [shutdown] (or [max_requests], the test harness's self-stop).  A
+   client that hangs up before its reply costs an [EPIPE] on the write,
+   which is counted as [client_gone]; the signal that write would raise
+   is the embedding process's to ignore. *)
 
 module SE = Pf_util.Sim_error
 
@@ -53,29 +54,57 @@ module Memo = struct
      key a worker computes for it, keyed by the frame's exact bytes: a
      repeated frame then costs one hash and one compare instead of a
      parse here and a key encode (a canonical KIR print and an MD5, for
-     an inline program) on a worker.  Only the accept loop touches the
-     table, so it takes no lock.  The budget counts frame bytes; an
-     insert past it clears the table. *)
+     an inline program) on a worker.  Each entry also has a reply slot: a
+     worker that answers the entry's request from the store publishes the
+     framed reply there, and later arrivals of the frame are answered
+     from it on the accept loop.  Only the accept loop touches the table,
+     so it takes no lock; a slot is the one field a worker writes.  The
+     budget counts frame bytes and the reply bytes the loop has answered
+     from; an insert past it clears the table. *)
   let budget = 16 * 1024 * 1024
 
+  type reply = { degraded : bool; framed : string }
+  type slot = reply option Atomic.t
+
+  type entry = {
+    keyed : Service.keyed;
+    slot : slot option;  (* [None] under [no_cache]: it never hits *)
+    mutable reply_counted : bool;  (* its reply's bytes are in [bytes] *)
+  }
+
   type t = {
-    table : (string, Service.keyed) Hashtbl.t;
+    table : (string, entry) Hashtbl.t;
     mutable bytes : int;
     mutable hits : int;
     mutable misses : int;
+    mutable replies : int;
   }
 
-  type stats = { hits : int; misses : int; entries : int; bytes : int }
+  type stats = {
+    hits : int;
+    misses : int;
+    replies : int;
+    entries : int;
+    bytes : int;
+  }
 
-  let create () = { table = Hashtbl.create 64; bytes = 0; hits = 0; misses = 0 }
+  type decoded = Request of Service.keyed * slot option | Reply of reply
+
+  let create () =
+    { table = Hashtbl.create 64; bytes = 0; hits = 0; misses = 0; replies = 0 }
 
   let stats (t : t) =
     {
       hits = t.hits;
       misses = t.misses;
+      replies = t.replies;
       entries = Hashtbl.length t.table;
       bytes = t.bytes;
     }
+
+  let clear (t : t) =
+    Hashtbl.reset t.table;
+    t.bytes <- 0
 
   let parse frame =
     SE.protect ~where:"serve.daemon" (fun () ->
@@ -90,31 +119,63 @@ module Memo = struct
     | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point -> true
     | Proto.Status | Proto.Shutdown -> false
 
+  (* The first answer from an entry's slot counts the reply's bytes; one
+     past the budget clears the table, this entry with it.  The arrival
+     is answered from the bytes in hand either way. *)
+  let answer (t : t) e r =
+    t.replies <- t.replies + 1;
+    if not e.reply_counted then begin
+      let n = String.length r.framed in
+      if t.bytes + n > budget then clear t
+      else begin
+        e.reply_counted <- true;
+        t.bytes <- t.bytes + n
+      end
+    end;
+    Reply r
+
   (* A parse error, [status] and [shutdown] are never stored.  An entry
      whose key raised stays as a marker: its frame is parsed afresh on
      every arrival and never stored again. *)
-  let decode t frame =
+  let decode (t : t) frame =
     match Hashtbl.find_opt t.table frame with
-    | Some k when not (Service.unkeyable k) ->
+    | Some e when not (Service.unkeyable e.keyed) -> (
         t.hits <- t.hits + 1;
-        Ok k
-    | found ->
-        let parsed = parse frame in
-        (match parsed with
+        match Option.bind e.slot Atomic.get with
+        | Some r -> Ok (answer t e r)
+        | None -> Ok (Request (e.keyed, e.slot)))
+    | found -> (
+        match parse frame with
         | Ok k when computable k ->
             t.misses <- t.misses + 1;
             let n = String.length frame in
             if Option.is_none found && n <= budget then begin
-              if t.bytes + n > budget then begin
-                Hashtbl.reset t.table;
-                t.bytes <- 0
-              end;
-              Hashtbl.add t.table frame k;
-              t.bytes <- t.bytes + n
+              if t.bytes + n > budget then clear t;
+              let slot =
+                if (Service.request k).Proto.no_cache then None
+                else Some (Atomic.make None)
+              in
+              let e = { keyed = k; slot; reply_counted = false } in
+              Hashtbl.add t.table frame e;
+              t.bytes <- t.bytes + n;
+              Ok (Request (k, slot))
             end
-        | _ -> ());
-        parsed
+            else Ok (Request (k, None))
+        | Ok k -> Ok (Request (k, None))
+        | Error _ as e -> e)
+
+  (* Called on a worker.  Only a store hit fills the slot: a computed
+     reply says [cached = false], which a later hit's bytes do not. *)
+  let reply slot resp =
+    let framed = Proto.frame (Json.to_string (Proto.response_to_json resp)) in
+    (match (slot, resp) with
+    | Some s, Proto.Ok_reply { cached = true; degraded; _ } ->
+        ignore (Atomic.compare_and_set s None (Some { degraded; framed }))
+    | _ -> ());
+    framed
 end
+
+let frame_deadline_s = 2.0
 
 type counters = {
   m : Mutex.t;
@@ -124,31 +185,54 @@ type counters = {
   mutable errors : int;
   mutable overloaded : int;
   mutable degraded : int;
+  mutable timeouts : int;  (* frames not read within the deadline *)
+  mutable client_gone : int;  (* replies whose client had hung up *)
 }
 
-let send_response fd resp =
-  try Proto.write_frame fd (Json.to_string (Proto.response_to_json resp))
-  with Unix.Unix_error _ | SE.Error _ -> ()
-(* the client may be gone; its reply is not worth the daemon *)
+let locked c f =
+  Mutex.lock c.m;
+  f c;
+  Mutex.unlock c.m
+
+let count_ok ~cached ~degraded c =
+  c.served <- c.served + 1;
+  if cached then c.hits <- c.hits + 1 else c.computed <- c.computed + 1;
+  if degraded then c.degraded <- c.degraded + 1
+
+let count_response c resp =
+  locked c (fun c ->
+      match resp with
+      | Proto.Ok_reply { cached; degraded; _ } -> count_ok ~cached ~degraded c
+      | Proto.Error_reply _ ->
+          c.served <- c.served + 1;
+          c.errors <- c.errors + 1
+      | Proto.Overloaded _ ->
+          c.served <- c.served + 1;
+          c.overloaded <- c.overloaded + 1)
+
+(* a status or shutdown reply: served, neither a hit nor computed *)
+let count_control c = locked c (fun c -> c.served <- c.served + 1)
+
+(* The client may be gone; its reply is not worth the daemon.  A write
+   refused because the client hung up is counted. *)
+let write_reply c fd encode =
+  try Proto.write_framed fd (encode ()) with
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      locked c (fun c -> c.client_gone <- c.client_gone + 1)
+  | Unix.Unix_error _ | SE.Error _ -> ()
+
+let send_response c fd resp =
+  write_reply c fd (fun () ->
+      Proto.frame (Json.to_string (Proto.response_to_json resp)))
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let count_response c resp =
-  Mutex.lock c.m;
-  c.served <- c.served + 1;
-  (match resp with
-  | Proto.Ok_reply { cached; degraded; _ } ->
-      if cached then c.hits <- c.hits + 1 else c.computed <- c.computed + 1;
-      if degraded then c.degraded <- c.degraded + 1
-  | Proto.Error_reply _ -> c.errors <- c.errors + 1
-  | Proto.Overloaded _ -> c.overloaded <- c.overloaded + 1);
-  Mutex.unlock c.m
-
-(* a status or shutdown reply: served, neither a hit nor computed *)
-let count_control c =
-  Mutex.lock c.m;
-  c.served <- c.served + 1;
-  Mutex.unlock c.m
+(* A read that waits out [SO_RCVTIMEO] fails with [EAGAIN]. *)
+let read_request fd =
+  try Proto.read_frame fd
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    SE.raisef SE.Watchdog_timeout ~where:"serve.daemon"
+      "no complete request frame within %g s" frame_deadline_s
 
 let run ?(log = prerr_endline) (cfg : config) =
   let store, recovery =
@@ -176,18 +260,20 @@ let run ?(log = prerr_endline) (cfg : config) =
       errors = 0;
       overloaded = 0;
       degraded = 0;
+      timeouts = 0;
+      client_gone = 0;
     }
   in
   let inflight : Proto.response Inflight.t = Inflight.create () in
   let traces = Trace_share.create () in
   let memo = Memo.create () in
-  let handle_compute (fd, k) =
+  let handle_compute (fd, k, slot) =
     let resp =
       Service.handle ?store ~inflight ~traces ?budget_s:cfg.budget_s
         ?default_max_steps:cfg.default_max_steps k
     in
     count_response c resp;
-    send_response fd resp;
+    write_reply c fd (fun () -> Memo.reply slot resp);
     close_quiet fd
   in
   let service =
@@ -200,7 +286,8 @@ let run ?(log = prerr_endline) (cfg : config) =
     Mutex.lock c.m;
     let served = c.served and hits = c.hits and computed = c.computed in
     let errors = c.errors and overloaded = c.overloaded in
-    let degraded = c.degraded in
+    let degraded = c.degraded and timeouts = c.timeouts in
+    let client_gone = c.client_gone in
     Mutex.unlock c.m;
     Json.Obj
       ([
@@ -210,6 +297,8 @@ let run ?(log = prerr_endline) (cfg : config) =
          ("errors", Json.Int errors);
          ("overloaded", Json.Int overloaded);
          ("degraded", Json.Int degraded);
+         ("timeouts", Json.Int timeouts);
+         ("client_gone", Json.Int client_gone);
          ("coalesced", Json.Int (Inflight.coalesced inflight));
          ( "trace_share",
            let shared, recorded, entries = Trace_share.stats traces in
@@ -225,6 +314,7 @@ let run ?(log = prerr_endline) (cfg : config) =
              [
                ("hits", Json.Int m.Memo.hits);
                ("misses", Json.Int m.Memo.misses);
+               ("replies", Json.Int m.Memo.replies);
                ("entries", Json.Int m.Memo.entries);
                ("bytes", Json.Int m.Memo.bytes);
              ] );
@@ -265,20 +355,29 @@ let run ?(log = prerr_endline) (cfg : config) =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | fd, _ -> (
         incr accepted;
+        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO frame_deadline_s
+         with Unix.Unix_error _ -> ());
         let decoded =
-          match SE.protect ~where:"serve.daemon" (fun () -> Proto.read_frame fd)
+          match SE.protect ~where:"serve.daemon" (fun () -> read_request fd)
           with
           | Ok (Some frame) -> Result.map Option.some (Memo.decode memo frame)
           | (Ok None | Error _) as r -> r
         in
         match decoded with
         | Error e ->
+            (* reading and decoding raise no other watchdog error *)
+            if e.SE.kind = SE.Watchdog_timeout then
+              locked c (fun c -> c.timeouts <- c.timeouts + 1);
             let resp = Proto.Error_reply e in
             count_response c resp;
-            send_response fd resp;
+            send_response c fd resp;
             close_quiet fd
         | Ok None -> close_quiet fd (* client connected and hung up *)
-        | Ok (Some k) -> (
+        | Ok (Some (Memo.Reply r)) ->
+            locked c (count_ok ~cached:true ~degraded:r.Memo.degraded);
+            write_reply c fd (fun () -> r.Memo.framed);
+            close_quiet fd
+        | Ok (Some (Memo.Request (k, slot))) -> (
             match (Service.request k).Proto.action with
             | Proto.Status ->
                 let resp =
@@ -286,7 +385,7 @@ let run ?(log = prerr_endline) (cfg : config) =
                     { result = status_json (); cached = false; degraded = false }
                 in
                 count_control c;
-                send_response fd resp;
+                send_response c fd resp;
                 close_quiet fd
             | Proto.Shutdown ->
                 let resp =
@@ -298,11 +397,12 @@ let run ?(log = prerr_endline) (cfg : config) =
                     }
                 in
                 count_control c;
-                send_response fd resp;
+                send_response c fd resp;
                 close_quiet fd;
                 stop := true
             | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point ->
-                if not (Pf_util.Pool.Service.submit service (fd, k)) then begin
+                if not (Pf_util.Pool.Service.submit service (fd, k, slot))
+                then begin
                   let resp =
                     Proto.Overloaded
                       {
@@ -311,7 +411,7 @@ let run ?(log = prerr_endline) (cfg : config) =
                       }
                   in
                   count_response c resp;
-                  send_response fd resp;
+                  send_response c fd resp;
                   close_quiet fd
                 end));
         (match cfg.max_requests with
@@ -329,9 +429,10 @@ let run ?(log = prerr_endline) (cfg : config) =
   log
     (Printf.sprintf
        "serve: shutdown complete served=%d hits=%d computed=%d errors=%d \
-        overloaded=%d degraded=%d coalesced=%d memo_hits=%d memo_misses=%d \
-        memo_entries=%d memo_bytes=%d"
-       c.served c.hits c.computed c.errors c.overloaded c.degraded
-       (Inflight.coalesced inflight) m.Memo.hits m.Memo.misses
-       m.Memo.entries m.Memo.bytes);
+        overloaded=%d degraded=%d timeouts=%d client_gone=%d coalesced=%d \
+        memo_hits=%d memo_misses=%d memo_replies=%d memo_entries=%d \
+        memo_bytes=%d"
+       c.served c.hits c.computed c.errors c.overloaded c.degraded c.timeouts
+       c.client_gone (Inflight.coalesced inflight) m.Memo.hits m.Memo.misses
+       m.Memo.replies m.Memo.entries m.Memo.bytes);
   Mutex.unlock c.m

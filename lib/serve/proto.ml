@@ -34,15 +34,19 @@ let really_read fd n =
    with Exit -> ());
   if !got = n then Some (Bytes.to_string buf) else None
 
-let write_frame fd payload =
+let frame payload =
   let len = String.length payload in
   if len > max_frame then err "frame of %d bytes exceeds %d" len max_frame;
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr ((len lsr 24) land 0xFF));
-  Bytes.set hdr 1 (Char.chr ((len lsr 16) land 0xFF));
-  Bytes.set hdr 2 (Char.chr ((len lsr 8) land 0xFF));
-  Bytes.set hdr 3 (Char.chr (len land 0xFF));
-  really_write fd (Bytes.to_string hdr ^ payload)
+  let b = Bytes.create (4 + len) in
+  Bytes.set b 0 (Char.chr ((len lsr 24) land 0xFF));
+  Bytes.set b 1 (Char.chr ((len lsr 16) land 0xFF));
+  Bytes.set b 2 (Char.chr ((len lsr 8) land 0xFF));
+  Bytes.set b 3 (Char.chr (len land 0xFF));
+  Bytes.blit_string payload 0 b 4 len;
+  Bytes.unsafe_to_string b
+
+let write_framed = really_write
+let write_frame fd payload = really_write fd (frame payload)
 
 let read_frame fd =
   match really_read fd 4 with

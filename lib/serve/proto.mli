@@ -9,7 +9,16 @@
 val max_frame : int
 (** 16 MB — bounds what a peer can make either side allocate. *)
 
+val frame : string -> string
+(** The bytes {!write_frame} sends for a payload: the length header, then
+    the payload.  Raises a structured [Invalid_config]
+    {!Pf_util.Sim_error.Error} on a payload over {!max_frame}. *)
+
+val write_framed : Unix.file_descr -> string -> unit
+(** Write bytes {!frame} built, whole. *)
+
 val write_frame : Unix.file_descr -> string -> unit
+(** [write_framed fd (frame payload)]. *)
 
 val read_frame : Unix.file_descr -> string option
 (** [None] on clean EOF before a complete frame; raises a structured

@@ -791,17 +791,48 @@ let test_daemon_end_to_end () =
             (J.to_string r2)
       | _ -> Alcotest.fail "expected a cached reply after restart")
 
-(* One exchange of raw frame bytes, for frames no client would build. *)
-let raw_exchange sock frame =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+(* A raw connection, retried while the daemon binds its socket. *)
+let connect_raw sock =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.01;
+        go (tries - 1)
+  in
+  go 500
+
+(* One exchange of raw frame bytes, for frames no client would build:
+   the reply's payload bytes. *)
+let raw_reply sock frame =
+  let fd = connect_raw sock in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX sock);
       Proto.write_frame fd frame;
-      match Option.map J.of_string (Proto.read_frame fd) with
-      | Some (Ok j) -> Proto.response_of_json j
-      | _ -> Alcotest.fail "no parseable reply")
+      match Proto.read_frame fd with
+      | Some bytes -> bytes
+      | None -> Alcotest.fail "no reply")
+
+let status_of sock =
+  match Pf_serve.Client.status ~socket:sock () with
+  | Proto.Ok_reply { result; _ } -> result
+  | _ -> Alcotest.fail "status failed"
+
+(* a counter of a status result, or of its [memo] object *)
+let counter ?(memo = false) result name =
+  let obj = if memo then J.member "memo" result else Some result in
+  match Option.bind (Option.bind obj (J.member name)) J.to_int_opt with
+  | Some n -> n
+  | None -> Alcotest.failf "status lacks %s" name
+
+let response_of bytes =
+  match J.of_string bytes with
+  | Ok j -> Proto.response_of_json j
+  | Error msg -> Alcotest.fail msg
 
 let test_daemon_error_isolation () =
   with_daemon (fun sock ->
@@ -822,7 +853,7 @@ let test_daemon_error_isolation () =
           check_bool "watchdog kind" true (e.SE.kind = SE.Watchdog_timeout)
       | _ -> Alcotest.fail "expected watchdog reply");
       (* 1 MB of [ nests far past the parser's cap *)
-      (match raw_exchange sock (String.make 1_000_000 '[') with
+      (match response_of (raw_reply sock (String.make 1_000_000 '[')) with
       | Proto.Error_reply e ->
           check_bool "deep frame: invalid-config" true
             (e.SE.kind = SE.Invalid_config)
@@ -871,7 +902,8 @@ let direct frame =
 
 let decoded m frame =
   match Memo.decode m frame with
-  | Ok k -> k
+  | Ok (Memo.Request (k, _)) -> k
+  | Ok (Memo.Reply _) -> Alcotest.fail "a frame answered from memory"
   | Error e -> Alcotest.fail (SE.to_string e)
 
 let generated seed =
@@ -987,15 +1019,220 @@ let test_daemon_memo_hit () =
           check_string "memo hit reply bit-identical" (J.to_string r1)
             (J.to_string r2)
       | _ -> Alcotest.fail "expected computed then cached");
-      match Pf_serve.Client.status ~socket:sock () with
-      | Proto.Ok_reply { result; _ } ->
-          let memo name =
-            Option.bind (J.member "memo" result) (J.member name)
-            |> Fun.flip Option.bind J.to_int_opt
+      let st = status_of sock in
+      check_int "one miss" 1 (counter ~memo:true st "misses");
+      check_int "one hit" 1 (counter ~memo:true st "hits"))
+
+(* ---- reply memo ---- *)
+
+let test_daemon_reply_memo () =
+  let store_dir = tmpdir "reply-store" in
+  let frames =
+    List.map frame_of
+      (Pf_serve.Loadgen.corpus
+         ~inline:(List.map generated [ 11; 12; 13 ])
+         ~benchmarks:Pf_mibench.Registry.names ())
+  in
+  let n = List.length frames in
+  with_daemon ~store_dir (fun sock ->
+      (* each pass ends before the next begins: the first computes every
+         key, the second hits the store, the third hits the slots *)
+      let pass () = Pf_util.Pool.map ~jobs:2 (raw_reply sock) frames in
+      let first = pass () in
+      let second = pass () in
+      let third = pass () in
+      List.iteri
+        (fun i ((r1, r2), r3) ->
+          (* the bytes a store hit of the computed reply gives *)
+          let want =
+            match response_of r1 with
+            | Proto.Ok_reply { result; cached = false; degraded } ->
+                J.to_string
+                  (Proto.response_to_json
+                     (Proto.Ok_reply { result; cached = true; degraded }))
+            | _ -> Alcotest.failf "request %d: expected a computed reply" i
           in
-          check_bool "one miss, one hit" true
-            (memo "misses" = Some 1 && memo "hits" = Some 1)
-      | _ -> Alcotest.fail "status failed")
+          check_string (Printf.sprintf "request %d: a store hit" i) want r2;
+          check_string
+            (Printf.sprintf "request %d: the third reply is the second" i)
+            r2 r3)
+        (List.combine (List.combine first second) third);
+      let st = status_of sock in
+      List.iter
+        (fun (name, want) -> check_int name want (counter st name))
+        [
+          ("served", 3 * n);
+          ("cache_hits", 2 * n);
+          ("computed", n);
+          ("errors", 0);
+          ("degraded", 0);
+        ];
+      check_int "memo replies: the third arrivals" n
+        (counter ~memo:true st "replies");
+      check_int "memo hits" (2 * n) (counter ~memo:true st "hits");
+      check_int "memo misses" n (counter ~memo:true st "misses"))
+
+let test_daemon_no_cache_never_from_memory () =
+  let store_dir = tmpdir "no-cache-store" in
+  let frame = frame_of { Proto.default_request with Proto.no_cache = true } in
+  with_daemon ~store_dir (fun sock ->
+      for i = 1 to 3 do
+        match response_of (raw_reply sock frame) with
+        | Proto.Ok_reply { cached = false; _ } -> ()
+        | _ -> Alcotest.failf "arrival %d: expected a computed reply" i
+      done;
+      let st = status_of sock in
+      check_int "computed three times" 3 (counter st "computed");
+      check_int "no replies from memory" 0 (counter ~memo:true st "replies"))
+
+let test_daemon_errors_never_from_memory () =
+  let store_dir = tmpdir "error-store" in
+  let frames =
+    [
+      (* a watchdog error on a worker *)
+      frame_of { Proto.default_request with Proto.budget_s = Some 1e-9 };
+      (* an unkeyable request *)
+      frame_of
+        { Proto.default_request with Proto.program = Proto.Named "nope" };
+      (* a frame that does not parse *)
+      "{\"action\": \"evaluate\", ";
+    ]
+  in
+  with_daemon ~store_dir (fun sock ->
+      List.iter
+        (fun frame ->
+          for i = 1 to 3 do
+            match response_of (raw_reply sock frame) with
+            | Proto.Error_reply _ -> ()
+            | _ -> Alcotest.failf "arrival %d: expected an error reply" i
+          done)
+        frames;
+      let st = status_of sock in
+      check_int "every arrival an error" 9 (counter st "errors");
+      check_int "no replies from memory" 0 (counter ~memo:true st "replies"))
+
+(* A worker's reply to a request taken from [m]. *)
+let answer m frame ~cached ~bytes =
+  match Memo.decode m frame with
+  | Ok (Memo.Request (_, slot)) ->
+      ignore
+        (Memo.reply slot
+           (Proto.Ok_reply
+              {
+                result = J.String (String.make bytes 'x');
+                cached;
+                degraded = false;
+              }))
+  | _ -> Alcotest.fail "expected a request"
+
+let from_memory m frame =
+  match Memo.decode m frame with
+  | Ok (Memo.Reply r) -> Some r.Memo.framed
+  | Ok (Memo.Request _) -> None
+  | Error e -> Alcotest.fail (SE.to_string e)
+
+let test_memo_reply_budget () =
+  let m = Memo.create () in
+  let frame i = frame_of { Proto.default_request with Proto.scale = i } in
+  let quarter = Memo.budget / 4 in
+  (* a computed reply never fills the slot *)
+  answer m (frame 1) ~cached:false ~bytes:100;
+  check_bool "computed: not from memory" true (from_memory m (frame 1) = None);
+  (* a store hit does, and is counted from its first answer *)
+  answer m (frame 2) ~cached:true ~bytes:quarter;
+  let frames_held = (Memo.stats m).Memo.bytes in
+  let r = Option.get (from_memory m (frame 2)) in
+  check_int "the reply's bytes count" (frames_held + String.length r)
+    (Memo.stats m).Memo.bytes;
+  ignore (from_memory m (frame 2));
+  check_int "once" (frames_held + String.length r) (Memo.stats m).Memo.bytes;
+  check_int "two replies" 2 (Memo.stats m).Memo.replies;
+  (* a slot filled after its entry was cleared is never read *)
+  let stale =
+    match Memo.decode m (frame 3) with
+    | Ok (Memo.Request (_, slot)) -> slot
+    | _ -> Alcotest.fail "expected a request"
+  in
+  answer m (frame 4) ~cached:true ~bytes:(3 * quarter);
+  check_bool "frame 4 answered although its reply clears the table" true
+    (from_memory m (frame 4) <> None);
+  let st = Memo.stats m in
+  check_int "the clear dropped every entry" 0 st.Memo.entries;
+  check_int "and every byte" 0 st.Memo.bytes;
+  ignore
+    (Memo.reply stale
+       (Proto.Ok_reply { result = J.Null; cached = true; degraded = false }));
+  check_bool "a stale slot is never read" true (from_memory m (frame 3) = None);
+  check_bool "a dropped reply is not read" true
+    (from_memory m (frame 2) = None);
+  check_bool "bytes within the budget" true
+    ((Memo.stats m).Memo.bytes <= Memo.budget)
+
+(* ---- clients that stall or hang up ---- *)
+
+(* A reply to a client that hung up raises SIGPIPE, which an embedding
+   process must ignore. *)
+let ignoring_sigpipe f =
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous) f
+
+let test_daemon_stalled_client () =
+  let deadline = Pf_serve.Daemon.frame_deadline_s in
+  ignoring_sigpipe @@ fun () ->
+  with_daemon (fun sock ->
+      let staller = connect_raw sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close staller)
+        (fun () ->
+          (* two bytes of a four-byte header, then nothing *)
+          ignore (Unix.write_substring staller "\000\000" 0 2);
+          let t0 = Unix.gettimeofday () in
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          (* bounded, so a daemon that never answers fails the test
+             instead of hanging it *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO (deadline +. 1.);
+          let status =
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                Unix.connect fd (Unix.ADDR_UNIX sock);
+                Proto.write_frame fd
+                  (frame_of
+                     {
+                       Proto.default_request with
+                       Proto.action = Proto.Status;
+                     });
+                try Proto.read_frame fd with Unix.Unix_error _ -> None)
+          in
+          let waited = Unix.gettimeofday () -. t0 in
+          (match Option.map response_of status with
+          | Some (Proto.Ok_reply { result; _ }) ->
+              check_int "status counts the timeout" 1
+                (counter result "timeouts")
+          | _ -> Alcotest.fail "status got no reply within the deadline");
+          check_bool "answered within the deadline + 1 s" true
+            (waited <= deadline +. 1.);
+          Unix.setsockopt_float staller Unix.SO_RCVTIMEO (deadline +. 1.);
+          match
+            Option.map response_of
+              (try Proto.read_frame staller with Unix.Unix_error _ -> None)
+          with
+          | Some (Proto.Error_reply e) ->
+              check_bool "the staller reads a watchdog timeout" true
+                (e.SE.kind = SE.Watchdog_timeout)
+          | _ -> Alcotest.fail "the staller got no timeout reply"))
+
+let test_daemon_client_gone () =
+  ignoring_sigpipe @@ fun () ->
+  with_daemon (fun sock ->
+      let fd = connect_raw sock in
+      Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+      Proto.write_frame fd
+        (frame_of { Proto.default_request with Proto.action = Proto.Status });
+      Unix.close fd;
+      let st = status_of sock in
+      check_int "one client gone" 1 (counter st "client_gone");
+      check_int "its reply still counts as served" 1 (counter st "served"))
 
 let test_daemon_counts_only_computes () =
   (* status replies are served but never computed *)
@@ -1006,14 +1243,10 @@ let test_daemon_counts_only_computes () =
       (match Pf_serve.Client.request ~socket:sock Proto.default_request with
       | Proto.Ok_reply { cached = false; _ } -> ()
       | _ -> Alcotest.fail "expected a computed reply");
-      match Pf_serve.Client.status ~socket:sock () with
-      | Proto.Ok_reply { result; _ } ->
-          let count name = Option.bind (J.member name result) J.to_int_opt in
-          check_bool "computed counts the one compute" true
-            (count "computed" = Some 1);
-          check_bool "served counts every reply before this one" true
-            (count "served" = Some 4)
-      | _ -> Alcotest.fail "status failed")
+      let st = status_of sock in
+      check_int "computed counts the one compute" 1 (counter st "computed");
+      check_int "served counts every reply before this one" 4
+        (counter st "served"))
 
 let test_daemon_backpressure () =
   (* one worker, queue of one, six slow requests at once: at least one
@@ -1414,4 +1647,16 @@ let tests =
     Alcotest.test_case "memo: byte budget" `Quick test_memo_budget;
     Alcotest.test_case "daemon: memo hit replies bit-identical" `Slow
       test_daemon_memo_hit;
+    Alcotest.test_case "daemon: reply memo answers third arrivals exactly"
+      `Slow test_daemon_reply_memo;
+    Alcotest.test_case "daemon: no_cache frames never answered from memory"
+      `Slow test_daemon_no_cache_never_from_memory;
+    Alcotest.test_case "daemon: error frames never answered from memory"
+      `Slow test_daemon_errors_never_from_memory;
+    Alcotest.test_case "memo: reply bytes count against the budget" `Quick
+      test_memo_reply_budget;
+    Alcotest.test_case "daemon: a stalled client delays others by the deadline"
+      `Slow test_daemon_stalled_client;
+    Alcotest.test_case "daemon: a client that hung up counts as client_gone"
+      `Slow test_daemon_client_gone;
   ]

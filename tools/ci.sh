@@ -3,7 +3,8 @@
 # smokes of the engines, of structured CLI errors for bad count flags
 # (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
 # sweep checked against its replay oracle), serve (crash recovery, store
-# faults, clients that hang up, the decode memo), population, the
+# faults, clients that hang up or stall mid-frame, the decode and reply
+# memos), population, the
 # leave-one-out multi campaign and mc, of the perfbench workloads' oracles
 # and of the bench/probe.exe views.
 #
@@ -141,8 +142,9 @@ rm -rf "$FAULT_DIR"
 echo "== serve smoke: clients that hang up =="
 # Twenty clients each send a status frame and hang up without reading
 # the reply.  The daemon must survive every one of them (an unignored
-# SIGPIPE on the reply's write once ended it with exit 141) and then
-# answer a normal load run; --max-requests lets it stop by itself.
+# SIGPIPE on the reply's write once ended it with exit 141), count each
+# in client_gone, and then answer a normal load run; --max-requests lets
+# it stop by itself.
 HUP_DIR=$(mktemp -d)
 SOCK="$HUP_DIR/pf.sock"
 dune build tools/check/hangup.exe
@@ -156,12 +158,42 @@ kill -0 "$SERVE_PID" 2>/dev/null || {
 "$LOADGEN" --socket "$SOCK" --requests 4 --conns 1
 wait "$SERVE_PID" || {
   echo "ci: daemon exited non-zero after hang-ups"; cat "$HUP_DIR/serve.log"; exit 1; }
+grep -q "client_gone=20 " "$HUP_DIR/serve.log" || {
+  echo "ci: hang-ups not counted as client_gone"; cat "$HUP_DIR/serve.log"; exit 1; }
 rm -rf "$HUP_DIR"
+
+echo "== serve smoke: a client that stalls mid-frame =="
+# A client sends 2 of a frame's 4 header bytes and holds its connection.
+# The daemon reads frames on one accept loop, so it must give up on the
+# frame at its read deadline (2 s), answer the staller with a
+# watchdog-timeout error, and serve a load run queued behind it.  A
+# liveness check, not a speed check: the bound is generous.
+STALL_DIR=$(mktemp -d)
+SOCK="$STALL_DIR/pf.sock"
+"$PF" serve --socket "$SOCK" --jobs 2 --max-requests 5 \
+  >"$STALL_DIR/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_for_sock
+./_build/default/tools/check/hangup.exe --socket "$SOCK" --stall 30 \
+  >"$STALL_DIR/stall.out" &
+STALL_PID=$!
+i=0
+while ! grep -q stalling "$STALL_DIR/stall.out" 2>/dev/null \
+  && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i+1)); done
+timeout 20 "$LOADGEN" --socket "$SOCK" --requests 4 --conns 1 || {
+  echo "ci: a stalled client blocked the daemon"; cat "$STALL_DIR/serve.log"; exit 1; }
+wait "$STALL_PID" || {
+  echo "ci: the stalled client got no timeout reply"; exit 1; }
+wait "$SERVE_PID"
+grep -q "timeouts=1 " "$STALL_DIR/serve.log" || {
+  echo "ci: the stall was not counted"; cat "$STALL_DIR/serve.log"; exit 1; }
+rm -rf "$STALL_DIR"
 
 echo "== serve smoke: decode memo over inline programs =="
 # Two generated programs shipped inline beside the named corpus: every
-# request must be answered without error, and repeated frames must be
-# served from the daemon's decode memo (memo_hits in the shutdown line).
+# request must be answered without error, repeated frames must be served
+# from the daemon's decode memo (memo_hits in the shutdown line), and
+# repeated warm hits from its reply memo (memo_replies).
 MEMO_DIR=$(mktemp -d)
 SOCK="$MEMO_DIR/pf.sock"
 "$PF" serve --socket "$SOCK" --store "$MEMO_DIR/store" --jobs 2 --no-fsync \
@@ -170,8 +202,10 @@ SERVE_PID=$!
 wait_for_sock
 "$LOADGEN" --socket "$SOCK" --requests 200 --conns 2 --corpus generated:2:7
 wait "$SERVE_PID"
-grep -Eq "errors=0 .*memo_hits=[1-9]" "$MEMO_DIR/serve.log" || {
-  echo "ci: memo smoke saw errors or no memo hits"; cat "$MEMO_DIR/serve.log"; exit 1; }
+grep -Eq "errors=0 .*memo_hits=[1-9].* memo_replies=[1-9]" \
+  "$MEMO_DIR/serve.log" || {
+  echo "ci: memo smoke saw errors, or no memo hits or replies"
+  cat "$MEMO_DIR/serve.log"; exit 1; }
 rm -rf "$MEMO_DIR"
 
 echo "== population smoke: seeded run, jobs-independent digest =="
