@@ -15,10 +15,7 @@ let prepare (b : Pf_mibench.Registry.benchmark) =
   let image =
     Pf_armgen.Compile.program ~unroll:b.Pf_mibench.Registry.unroll p
   in
-  let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
-  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-  let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  (image, tr)
+  (image, (Pf_fits.Synthesis.flow image).Pf_fits.Synthesis.tr)
 
 let benchmarks_of_args args =
   match args with

@@ -144,9 +144,7 @@ let synth_cmd =
   let run name scale verbose =
     setup_logs verbose;
     let image = build ~scale (find_bench name) in
-    let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
-    let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-    let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
+    let tr = (Pf_fits.Synthesis.flow image).Pf_fits.Synthesis.tr in
     print_string (Pf_fits.Spec.describe tr.Pf_fits.Translate.spec);
     let st = tr.Pf_fits.Translate.stats in
     Printf.printf
@@ -173,12 +171,10 @@ let disasm_cmd =
   in
   let run name scale fits =
     let image = build ~scale (find_bench name) in
-    if fits then begin
-      let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
-      let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-      let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-      print_string (Pf_fits.Translate.disassemble tr)
-    end
+    if fits then
+      print_string
+        (Pf_fits.Translate.disassemble
+           (Pf_fits.Synthesis.flow image).Pf_fits.Synthesis.tr)
     else print_string (Pf_arm.Image.disassemble image)
   in
   Cmd.v
@@ -252,12 +248,8 @@ let run_cmd =
           ~mr:r.Pf_cpu.Arm_run.miss_rate_per_million r.Pf_cpu.Arm_run.power
           r.Pf_cpu.Arm_run.output
     | `Fits16 | `Fits8 ->
-        let dyn_counts, _ =
-          Pf_fits.Synthesis.dyn_counts_of_run ?max_steps image
-        in
-        let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
         let tr =
-          Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image
+          (Pf_fits.Synthesis.flow ?max_steps image).Pf_fits.Synthesis.tr
         in
         let r = Pf_fits.Run.run ~engine ~cache_cfg ?max_steps tr in
         Printf.printf "dynamic 1-to-1 mapping: %.1f%%\n"
@@ -404,13 +396,8 @@ let inject_cmd =
       (fun (b : Pf_mibench.Registry.benchmark) ->
         if many then
           Printf.printf "=== %s ===\n" b.Pf_mibench.Registry.name;
-        let image = build ~scale b in
-        let dyn_counts, reference =
-          Pf_fits.Synthesis.dyn_counts_of_run image
-        in
-        let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-        let tr =
-          Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image
+        let { Pf_fits.Synthesis.tr; output = reference; _ } =
+          Pf_fits.Synthesis.flow (build ~scale b)
         in
         let cache_cfg =
           match config with
@@ -1142,8 +1129,8 @@ let mc_workload ~policy ~seed ~cores ~benchmarks ~isa ~scale ~max_steps =
   let cores = Array.init ncores mk in
   let sched = Pf_mc.Sched.create ~policy ~ncores seed in
   (* independent kernels, private memories: no shared window, so no
-     coherence layer — the mc workload mode measures multicore power
-     accounting and scheduling, not data sharing *)
+     coherence layer and the cores run back to back — the mc workload
+     mode measures per-core power accounting, not data sharing *)
   let m = Pf_mc.Machine.create ~sched cores in
   Pf_mc.Machine.run m;
   let r = Pf_mc.Machine.report m in

@@ -10,9 +10,7 @@ let () =
   let bench = Pf_mibench.Registry.find "crc32" in
   let program = bench.Pf_mibench.Registry.program ~scale:1 in
   let image = Pf_armgen.Compile.program program in
-  let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
-  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-  let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
+  let tr = (Pf_fits.Synthesis.flow image).Pf_fits.Synthesis.tr in
   let spec = tr.Pf_fits.Translate.spec in
 
   print_endline "=== synthesized instruction set for CRC32 ===";

@@ -9,7 +9,7 @@ module Px = Pf_arm.Pexec
    source-retirement counts — and nothing else in the tree repeats that
    body: the block driver ([Cexec.run]) calls it for boundary steps and
    legality fallbacks, the FITS [on_step] hook loops it, and a multicore
-   machine interleaves cores one [step] at a time.  The reference
+   machine advances its cores one [step] at a time.  The reference
    interpreters in [Arm_run] and [Pf_fits.Run] stay independent: they
    are the oracles this body is checked against. *)
 

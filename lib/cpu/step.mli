@@ -10,7 +10,7 @@
     This is the only copy of that body.  The compiled engine's block
     driver ({!Cexec.run}) calls it for boundary steps and fallback
     blocks, [Pf_fits.Run.run ~on_step] loops it, and a multicore machine
-    ({!Pf_mc.Machine}) interleaves cores one [step] at a time.  A
+    ({!Pf_mc.Machine}) advances its cores one [step] at a time.  A
     single-core machine is therefore bit-identical to the sequential
     runners field by field (floats by their IEEE bits; the mc and
     differential tests pin this).  The reference interpreters in

@@ -514,3 +514,10 @@ let synthesize ?static_weight ?ais_groups ?dict_head ?allow_two_op_ais
     (image : Pf_arm.Image.t) ~dyn_counts =
   synthesize_suite ?static_weight ?ais_groups ?dict_head ?allow_two_op_ais
     [ { p_image = image; p_dyn_counts = dyn_counts; p_mult = 1 } ]
+
+type flow = { syn : result; tr : Translate.t; output : string }
+
+let flow ?max_steps ?deadline image =
+  let dyn_counts, output = dyn_counts_of_run ?max_steps ?deadline image in
+  let syn = synthesize image ~dyn_counts in
+  { syn; tr = Translate.translate syn.spec image; output }

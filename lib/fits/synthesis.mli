@@ -96,3 +96,16 @@ val dyn_counts_of_run :
   int array * string
 (** Execute once, returning per-word execution counts and the program
     output. *)
+
+type flow = {
+  syn : result;
+  tr : Translate.t;  (** the image translated under [syn.spec] *)
+  output : string;   (** the counting run's program output *)
+}
+
+val flow :
+  ?max_steps:int -> ?deadline:Pf_util.Deadline.t -> Pf_arm.Image.t -> flow
+(** The per-application flow at default options: one counting run
+    ({!dyn_counts_of_run}, bounded by [max_steps] and [deadline]),
+    {!synthesize} over its counts, and {!Translate.translate} of the
+    image under the synthesized spec. *)

@@ -8,6 +8,11 @@
    scheduler seed.  Sweeps parallelize ACROSS machines (seeds, configs)
    with [Pf_util.Pool], never inside one.
 
+   A machine without a shared window runs its cores one after another
+   ([run_private]): no core reads anything another writes, so every
+   per-core state, and the slice total, is the same under any schedule.
+   [step] keeps the interleaving semantics and is that path's oracle.
+
    Power: each core carries its own PowerFITS I-cache account; the
    machine report sums the energy components (energies are additive) and
    takes the max of the per-core cycle counts (cores run concurrently,
@@ -94,7 +99,52 @@ let step (t : t) =
       | None -> ());
       true
 
-let run t = while step t do () done
+(* Each core to halt, in index order, with the plain [Step.step] loop.
+   A core that raises stops there; the others still run to their own
+   end, so the replay below knows every core's slice count. *)
+let run_private (t : t) =
+  let n = Array.length t.cores in
+  let counts = Array.make n 0 in
+  let faults = Array.make n None in
+  Array.iteri
+    (fun c { step = s; _ } ->
+      let k = ref 0 in
+      (try
+         while not (Pf_cpu.Step.halted s) do
+           Pf_cpu.Step.step s;
+           incr k
+         done
+       with e -> faults.(c) <- Some (e, Printexc.get_raw_backtrace ()));
+      counts.(c) <- !k)
+    t.cores;
+  if Array.for_all Option.is_none faults then
+    t.slices <- t.slices + Array.fold_left ( + ) 0 counts
+  else begin
+    (* Replay the scheduler's picks over the slice counts, executing
+       nothing: the interleaved machine raises at the first pick of a
+       faulted core past its count, with the slices counted so far. *)
+    let replayed = Array.make n 0 in
+    let runnable c = replayed.(c) < counts.(c) || Option.is_some faults.(c) in
+    let rec replay () =
+      match Sched.next t.sched ~runnable with
+      | Some c when replayed.(c) < counts.(c) ->
+          replayed.(c) <- replayed.(c) + 1;
+          t.slices <- t.slices + 1;
+          replay ()
+      | Some c ->
+          Option.iter
+            (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+            faults.(c)
+      | None -> ()
+    in
+    (* a faulted core stays runnable, so [replay] always ends in a raise *)
+    replay ()
+  end
+
+let run (t : t) =
+  match t.coherence with
+  | None -> run_private t
+  | Some _ -> while step t do () done
 
 let report (t : t) =
   let results =
@@ -132,9 +182,5 @@ let fits_core ?max_steps ?deadline ?trace image =
   (* per-core application-specific synthesis: profile the ARM image,
      synthesize its FITS spec, translate — the sequential FITS flow, one
      decoder configuration per core *)
-  let dyn_counts, _ =
-    Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
-  in
-  let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
-  let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  Pf_fits.Run.stepper ?max_steps ?deadline ?trace tr
+  let f = Pf_fits.Synthesis.flow ?max_steps ?deadline image in
+  Pf_fits.Run.stepper ?max_steps ?deadline ?trace f.Pf_fits.Synthesis.tr

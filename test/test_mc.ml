@@ -1,7 +1,9 @@
 (* Multicore machine: memory-model allowed sets (SC vs TSO), scheduler
    determinism, snoop invalidation, coherence propagation, single-core
    bit-identity against the sequential engines, the full litmus sweep,
-   and jobs-independence of seeded machine sweeps (QCheck). *)
+   jobs-independence of seeded machine sweeps (QCheck), and a private
+   machine's back-to-back run against the interleaved step loop
+   (reports, traces, slices and the seed-dependent error order). *)
 
 module Mc = Pf_mc.Machine
 module Model = Pf_mc.Model
@@ -329,6 +331,154 @@ let prop_jobs_independent =
       Pf_util.Pool.map ~jobs:1 machine_digest seeds
       = Pf_util.Pool.map ~jobs:4 machine_digest seeds)
 
+(* ---- private machines: run == the interleaved step loop --------------- *)
+
+(* A machine without a shared window runs each core to halt in turn;
+   [Mc.step] keeps the interleaving and is its oracle.  Two machines are
+   built from fresh cores: one is [run], the other stepped slice by
+   slice. *)
+let private_images =
+  lazy (Array.map build [| "crc32"; "sha"; "qsort"; "fft" |])
+
+let private_machine ~fits ~policy ~seed =
+  let images = Lazy.force private_images in
+  let traces =
+    Array.map
+      (fun _ -> Pf_cpu.Trace.create ~isize:(if fits then 2 else 4) ())
+      images
+  in
+  let cores =
+    Array.mapi
+      (fun i img ->
+        let trace = traces.(i) in
+        ( Printf.sprintf "c%d" i,
+          if fits then Mc.fits_core ~trace img else Mc.arm_core ~trace img ))
+      images
+  in
+  let sched = Sched.create ~policy ~ncores:(Array.length cores) seed in
+  (Mc.create ~sched cores, traces, sched)
+
+let check_result name (a : Step.result) (b : Step.result) =
+  Alcotest.(check int) (name ^ ": instructions") a.Step.instructions
+    b.Step.instructions;
+  Alcotest.(check int) (name ^ ": src instructions") a.Step.src_instructions
+    b.Step.src_instructions;
+  Alcotest.(check int) (name ^ ": cycles") a.Step.cycles b.Step.cycles;
+  Alcotest.(check int64) (name ^ ": ipc") (fbits a.Step.ipc) (fbits b.Step.ipc);
+  Alcotest.(check int) (name ^ ": fetch accesses") a.Step.fetch_accesses
+    b.Step.fetch_accesses;
+  Alcotest.(check string) (name ^ ": output") a.Step.output b.Step.output;
+  Alcotest.(check int) (name ^ ": cache accesses") a.Step.cache_accesses
+    b.Step.cache_accesses;
+  Alcotest.(check int) (name ^ ": cache misses") a.Step.cache_misses
+    b.Step.cache_misses;
+  Alcotest.(check int64) (name ^ ": miss rate")
+    (fbits a.Step.miss_rate_per_million)
+    (fbits b.Step.miss_rate_per_million);
+  Alcotest.(check int64) (name ^ ": dcache miss rate")
+    (fbits a.Step.dcache_miss_rate_pm)
+    (fbits b.Step.dcache_miss_rate_pm);
+  check_power name a.Step.power b.Step.power
+
+let test_private_run_is_interleaved () =
+  List.iter
+    (fun (fits, policy, seed) ->
+      let tag =
+        Printf.sprintf "%s %s %d"
+          (if fits then "fits" else "arm")
+          (Sched.policy_to_string policy)
+          seed
+      in
+      let ran, ran_traces, ran_sched = private_machine ~fits ~policy ~seed in
+      let stepped, stepped_traces, _ = private_machine ~fits ~policy ~seed in
+      Mc.run ran;
+      while Mc.step stepped do () done;
+      let next16 s =
+        List.init 16 (fun _ -> Sched.next s ~runnable:(fun _ -> true))
+      in
+      Alcotest.(check (list (option int)))
+        (tag ^ ": run drew nothing from the scheduler")
+        (next16 (Sched.create ~policy ~ncores:4 seed))
+        (next16 ran_sched);
+      let a = Mc.report ran and b = Mc.report stepped in
+      Alcotest.(check int) (tag ^ ": slices") b.Mc.slices a.Mc.slices;
+      Alcotest.(check int) (tag ^ ": instructions") b.Mc.instructions
+        a.Mc.instructions;
+      Alcotest.(check int) (tag ^ ": src instructions") b.Mc.src_instructions
+        a.Mc.src_instructions;
+      Alcotest.(check int) (tag ^ ": cycles") b.Mc.cycles a.Mc.cycles;
+      Alcotest.(check bool) (tag ^ ": no coherence") true
+        (a.Mc.coherence = None && b.Mc.coherence = None);
+      let pa = a.Mc.power and pb = b.Mc.power in
+      List.iter
+        (fun (field, f) ->
+          Alcotest.(check int64) (tag ^ ": machine " ^ field) (fbits (f pb))
+            (fbits (f pa)))
+        [
+          ("switching", fun p -> p.Mc.switching);
+          ("internal", fun p -> p.Mc.internal);
+          ("leakage", fun p -> p.Mc.leakage);
+          ("total", fun p -> p.Mc.total);
+          ("peak", fun p -> p.Mc.peak_power);
+        ];
+      Array.iteri
+        (fun i (label, r) ->
+          let label', r' = b.Mc.cores.(i) in
+          Alcotest.(check string) (tag ^ ": label") label' label;
+          check_result (tag ^ " " ^ label) r' r;
+          Alcotest.(check int) (tag ^ " " ^ label ^ ": trace digest")
+            (trace_digest stepped_traces.(i))
+            (trace_digest ran_traces.(i)))
+        a.Mc.cores)
+    [
+      (false, Sched.Seeded_random, 1);
+      (false, Sched.Seeded_random, 7);
+      (false, Sched.Round_robin, 0);
+      (true, Sched.Seeded_random, 1);
+      (true, Sched.Seeded_random, 7);
+      (true, Sched.Round_robin, 0);
+    ]
+
+(* Two crc32 cores whose budgets differ by 40 steps: which one the
+   interleaved machine exhausts first depends on the seed, and [run]
+   must raise that core's error with the slice count the step loop
+   leaves. *)
+let test_private_run_errors () =
+  let image = build "crc32" in
+  let outcome drive seed =
+    let m =
+      Mc.create
+        ~sched:(Sched.create ~policy:Sched.Seeded_random ~ncores:2 seed)
+        [|
+          ("c0", Mc.arm_core ~max_steps:60_000 image);
+          ("c1", Mc.arm_core ~max_steps:60_040 image);
+        |]
+    in
+    match drive m with
+    | () -> Alcotest.failf "seed %d: no core exhausted its budget" seed
+    | exception Pf_util.Sim_error.Error e ->
+        (Pf_util.Sim_error.to_string e, Mc.slices m)
+  in
+  let seen =
+    List.map
+      (fun seed ->
+        let want = outcome (fun m -> while Mc.step m do () done) seed in
+        let got = outcome Mc.run seed in
+        Alcotest.(check (pair string int))
+          (Printf.sprintf "seed %d: error and slices" seed)
+          want got;
+        fst got)
+      (List.init 10 Fun.id)
+  in
+  List.iter
+    (fun budget ->
+      let text = Printf.sprintf "step budget exhausted (%d)" budget in
+      Alcotest.(check bool)
+        (Printf.sprintf "some seed exhausts %d first" budget)
+        true
+        (List.exists (String.ends_with ~suffix:text) seen))
+    [ 60_000; 60_040 ]
+
 (* ---- jobs validation --------------------------------------------------- *)
 
 let test_validate_jobs () =
@@ -399,6 +549,10 @@ let tests =
     Alcotest.test_case "litmus: round-robin is a single allowed outcome"
       `Quick test_litmus_rr_policy;
     QCheck_alcotest.to_alcotest prop_jobs_independent;
+    Alcotest.test_case "private machine: run equals the interleaved step loop"
+      `Slow test_private_run_is_interleaved;
+    Alcotest.test_case "private machine: run raises the interleaved error"
+      `Quick test_private_run_errors;
     Alcotest.test_case "jobs validation is structured and uniform" `Quick
       test_validate_jobs;
     Alcotest.test_case "FITS core profiling honours max_steps" `Quick

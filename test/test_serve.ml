@@ -17,16 +17,26 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let tmpdir =
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+
+(* [f] gets a fresh path under the temp directory (not yet created);
+   whatever [f] leaves there is removed when it returns or raises. *)
+let with_tmpdir =
   let counter = ref 0 in
-  fun label ->
+  fun label f ->
     incr counter;
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "pf-serve-test-%d-%s-%d" (Unix.getpid ()) label !counter)
     in
-    dir
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ---- crc32 ---- *)
 
@@ -53,7 +63,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_atomic_write () =
-  let dir = tmpdir "atomic" in
+  with_tmpdir "atomic" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "out.txt" in
   AF.write ~fsync:false ~path "first";
@@ -65,7 +75,7 @@ let test_atomic_write () =
     |> List.for_all (fun n -> not (AF.is_temp n)))
 
 let test_atomic_crash_points () =
-  let dir = tmpdir "crash" in
+  with_tmpdir "crash" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "out.txt" in
   AF.write ~fsync:false ~path "committed";
@@ -256,7 +266,7 @@ let prop_record_truncation_detected =
 (* ---- store ---- *)
 
 let test_store_basic () =
-  let dir = tmpdir "store" in
+  with_tmpdir "store" @@ fun dir ->
   let store, recovery = Store.open_ ~fsync:false dir in
   check_int "fresh store is empty" 0 recovery.Store.entries;
   check_bool "miss on empty" true (Store.get store ~key:"nope" = None);
@@ -277,7 +287,7 @@ let test_store_basic () =
   Store.close store2
 
 let test_store_quarantine () =
-  let dir = tmpdir "quarantine" in
+  with_tmpdir "quarantine" @@ fun dir ->
   let store, _ = Store.open_ ~fsync:false dir in
   Store.put store ~key:"good" "good-payload";
   Store.put store ~key:"victim" "victim-payload";
@@ -319,7 +329,7 @@ let test_store_quarantine () =
   Store.close store2
 
 let test_storefault_campaign () =
-  let dir = tmpdir "campaign" in
+  with_tmpdir "campaign" @@ fun dir ->
   let r = Pf_fault.Storefault.run ~committed:4 ~flips_per_record:8 ~dir ~seed:11 () in
   check_int "every trial survives"
     r.Pf_fault.Storefault.total r.Pf_fault.Storefault.survived;
@@ -567,7 +577,7 @@ let test_compute_matches_direct () =
         = Some (Digest.to_hex (Digest.string direct.Pf_cpu.Arm_run.output)))
 
 let test_handle_cached_bit_identical () =
-  let dir = tmpdir "svc-store" in
+  with_tmpdir "svc-store" @@ fun dir ->
   let store, _ = Store.open_ ~fsync:false dir in
   let req =
     { Proto.default_request with Proto.program = Proto.Named "crc32" }
@@ -708,7 +718,7 @@ let test_inflight_coalescing () =
 let test_handle_with_inflight () =
   (* sequential requests through the coalescing path behave exactly as
      without it: compute then cache hit, nothing coalesced *)
-  let dir = tmpdir "svc-inflight" in
+  with_tmpdir "svc-inflight" @@ fun dir ->
   let store, _ = Store.open_ ~fsync:false dir in
   let inflight : Proto.response Inflight.t = Inflight.create () in
   let req =
@@ -755,11 +765,11 @@ let with_daemon ?(jobs = 2) ?(queue_capacity = 64) ?store_dir f =
   Fun.protect
     ~finally:(fun () ->
       (try ignore (Pf_serve.Client.shutdown ~socket:sock ()) with _ -> ());
-      Domain.join d)
+      Fun.protect ~finally:(fun () -> rm_rf sock) (fun () -> Domain.join d))
     (fun () -> f sock)
 
 let test_daemon_end_to_end () =
-  let store_dir = tmpdir "daemon-store" in
+  with_tmpdir "daemon-store" @@ fun store_dir ->
   let req =
     { Proto.default_request with Proto.program = Proto.Named "bitcount" }
   in
@@ -1005,7 +1015,7 @@ let test_memo_budget () =
   bytes_ok ()
 
 let test_daemon_memo_hit () =
-  let store_dir = tmpdir "memo-store" in
+  with_tmpdir "memo-store" @@ fun store_dir ->
   let req =
     { Proto.default_request with Proto.program = Proto.Inline (generated 5) }
   in
@@ -1026,7 +1036,7 @@ let test_daemon_memo_hit () =
 (* ---- reply memo ---- *)
 
 let test_daemon_reply_memo () =
-  let store_dir = tmpdir "reply-store" in
+  with_tmpdir "reply-store" @@ fun store_dir ->
   let frames =
     List.map frame_of
       (Pf_serve.Loadgen.corpus
@@ -1073,7 +1083,7 @@ let test_daemon_reply_memo () =
       check_int "memo misses" n (counter ~memo:true st "misses"))
 
 let test_daemon_no_cache_never_from_memory () =
-  let store_dir = tmpdir "no-cache-store" in
+  with_tmpdir "no-cache-store" @@ fun store_dir ->
   let frame = frame_of { Proto.default_request with Proto.no_cache = true } in
   with_daemon ~store_dir (fun sock ->
       for i = 1 to 3 do
@@ -1086,7 +1096,7 @@ let test_daemon_no_cache_never_from_memory () =
       check_int "no replies from memory" 0 (counter ~memo:true st "replies"))
 
 let test_daemon_errors_never_from_memory () =
-  let store_dir = tmpdir "error-store" in
+  with_tmpdir "error-store" @@ fun store_dir ->
   let frames =
     [
       (* a watchdog error on a worker *)
@@ -1280,7 +1290,7 @@ let test_daemon_backpressure () =
       check_bool "some work completed" true (ok >= 1))
 
 let test_loadgen_against_daemon () =
-  let store_dir = tmpdir "loadgen-store" in
+  with_tmpdir "loadgen-store" @@ fun store_dir ->
   with_daemon ~store_dir (fun sock ->
       let r =
         Pf_serve.Loadgen.run ~benchmarks:[ "crc32"; "bitcount" ] ~socket:sock

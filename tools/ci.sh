@@ -5,8 +5,9 @@
 # sweep checked against its replay oracle), serve (crash recovery, store
 # faults, clients that hang up or stall mid-frame, the decode and reply
 # memos), population, the
-# leave-one-out multi campaign and mc, of the perfbench workloads' oracles
-# and of the bench/probe.exe views.
+# leave-one-out multi campaign and mc (litmus sweeps, private machines'
+# schedule-independent reports, a watchdog in a machine run), of the
+# perfbench workloads' oracles and of the bench/probe.exe views.
 #
 #   ./tools/ci.sh
 #
@@ -235,13 +236,21 @@ cmp -s "$MULTI_DIR/j1.out" "$MULTI_DIR/j2.out" || {
   diff "$MULTI_DIR/j1.out" "$MULTI_DIR/j2.out"; exit 1; }
 rm -rf "$MULTI_DIR"
 
-echo "== multicore litmus smoke: weak-memory outcomes under seed sweep =="
+echo "== multicore smoke: litmus sweeps and private machines =="
 # Every litmus test (SB, MP, LB, CoWW, CoRR, fenced SB, IRIW) runs across
 # a seeded interleaving sweep; any outcome outside the operational model's
 # allowed set makes the CLI exit 3, and the summary line must report zero
 # forbidden outcomes.  The same 1000-seed sweep at --jobs 1 and --jobs 2
 # must print the same bytes: the histogram is jobs-independent.  A
 # one-seed round-robin MP run smokes the deterministic scheduler.
+#
+# A benchmark machine has no shared window, so it runs its cores one
+# after another and its report cannot depend on the schedule: round-robin
+# and seeded-random must print the same bytes apart from the machine:
+# line, which names the policy and seed.  At --max-steps 131000, crc32's
+# counting run (130,875 steps) fits but its FITS run (131,645) does not,
+# so the machine run itself must fail: exit 4 with a structured
+# watchdog-timeout from fits.run, never an escaped exception.
 MC_DIR=$(mktemp -d)
 "$PF" mc --litmus --seeds 1000 --jobs 1 >"$MC_DIR/litmus1.out"
 "$PF" mc --litmus --seeds 1000 --jobs 2 >"$MC_DIR/litmus.out"
@@ -253,6 +262,27 @@ cmp -s "$MC_DIR/litmus1.out" "$MC_DIR/litmus.out" || {
 "$PF" mc --litmus --test mp --sched rr --seeds 1 >"$MC_DIR/rr.out"
 grep -q "forbidden=0" "$MC_DIR/rr.out" || {
   echo "ci: round-robin MP litmus reported forbidden outcomes"; exit 1; }
+for sched in rr random; do
+  "$PF" mc --benchmarks crc32,sha,qsort,fft --cores 4 --isa fits \
+    --sched "$sched" --seed 7 >"$MC_DIR/private-$sched.out"
+  grep -v '^machine:' "$MC_DIR/private-$sched.out" >"$MC_DIR/report-$sched.out"
+done
+cmp -s "$MC_DIR/report-rr.out" "$MC_DIR/report-random.out" || {
+  echo "ci: a private machine's report depends on its schedule"
+  diff "$MC_DIR/report-rr.out" "$MC_DIR/report-random.out"; exit 1; }
+rc=0
+"$PF" mc --benchmarks crc32 --cores 4 --isa fits --max-steps 131000 \
+  >"$MC_DIR/watchdog.out" 2>&1 || rc=$?
+[ "$rc" -eq 4 ] || {
+  echo "ci: mc past its step budget exited $rc, not 4"
+  cat "$MC_DIR/watchdog.out"; exit 1; }
+grep -q 'watchdog-timeout \[fits.run\]' "$MC_DIR/watchdog.out" || {
+  echo "ci: mc past its step budget did not fail in the FITS run"
+  cat "$MC_DIR/watchdog.out"; exit 1; }
+if grep -q "Fatal error" "$MC_DIR/watchdog.out"; then
+  echo "ci: mc past its step budget escaped as an exception"
+  cat "$MC_DIR/watchdog.out"; exit 1
+fi
 rm -rf "$MC_DIR"
 
 echo "== perfbench smoke: every workload's oracle, one short run each =="
