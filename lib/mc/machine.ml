@@ -28,6 +28,7 @@ type t = {
   cores : core array;
   sched : Sched.t;
   coherence : Coherence.t option;
+  runnable : int -> bool;  (* built once: [step] must not allocate *)
   mutable slices : int;
 }
 
@@ -72,7 +73,8 @@ let create ?shared ~sched cores =
              ~dcaches:(Array.map (fun c -> Pf_cpu.Step.dcache c.step) cores)
              ())
   in
-  { cores; sched; coherence; slices = 0 }
+  let runnable c = not (Pf_cpu.Step.halted cores.(c).step) in
+  { cores; sched; coherence; runnable; slices = 0 }
 
 let ncores (t : t) = Array.length t.cores
 let core (t : t) i = t.cores.(i).step
@@ -83,21 +85,21 @@ let all_halted (t : t) =
   Array.for_all (fun c -> Pf_cpu.Step.halted c.step) t.cores
 
 let step (t : t) =
-  let runnable c = not (Pf_cpu.Step.halted t.cores.(c).step) in
-  match Sched.next t.sched ~runnable with
-  | None -> false
-  | Some c ->
-      let s = t.cores.(c).step in
-      Pf_cpu.Step.step s;
-      t.slices <- t.slices + 1;
-      (match t.coherence with
-      | Some coh ->
-          let a = Pf_cpu.Step.stored_addr s in
-          if a >= 0 then
-            Coherence.post_store coh ~core:c ~addr:a
-              ~words:(Pf_cpu.Step.stored_words s)
-      | None -> ());
-      true
+  let c = Sched.next t.sched ~runnable:t.runnable in
+  if c < 0 then false
+  else begin
+    let s = t.cores.(c).step in
+    Pf_cpu.Step.step s;
+    t.slices <- t.slices + 1;
+    (match t.coherence with
+    | Some coh ->
+        let a = Pf_cpu.Step.stored_addr s in
+        if a >= 0 then
+          Coherence.post_store coh ~core:c ~addr:a
+            ~words:(Pf_cpu.Step.stored_words s)
+    | None -> ());
+    true
+  end
 
 (* Each core to halt, in index order, with the plain [Step.step] loop.
    A core that raises stops there; the others still run to their own
@@ -126,16 +128,17 @@ let run_private (t : t) =
     let replayed = Array.make n 0 in
     let runnable c = replayed.(c) < counts.(c) || Option.is_some faults.(c) in
     let rec replay () =
-      match Sched.next t.sched ~runnable with
-      | Some c when replayed.(c) < counts.(c) ->
+      let c = Sched.next t.sched ~runnable in
+      if c >= 0 then
+        if replayed.(c) < counts.(c) then begin
           replayed.(c) <- replayed.(c) + 1;
           t.slices <- t.slices + 1;
           replay ()
-      | Some c ->
+        end
+        else
           Option.iter
             (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
             faults.(c)
-      | None -> ()
     in
     (* a faulted core stays runnable, so [replay] always ends in a raise *)
     replay ()

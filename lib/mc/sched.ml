@@ -35,27 +35,28 @@ let create ?(policy = Round_robin) ~ncores seed =
 
 let ncores t = t.ncores
 
+(* Loops over refs rather than a local recursive function, which would
+   be a closure allocated per call. *)
 let next t ~runnable =
   match t.policy with
   | Round_robin ->
       (* scan from the cursor so halted cores are skipped fairly *)
-      let rec scan k =
-        if k = t.ncores then None
-        else
-          let c = (t.cursor + k) mod t.ncores in
-          if runnable c then begin
-            t.cursor <- (c + 1) mod t.ncores;
-            Some c
-          end
-          else scan (k + 1)
-      in
-      scan 0
+      let k = ref 0 and res = ref (-1) in
+      while !res < 0 && !k < t.ncores do
+        let c = (t.cursor + !k) mod t.ncores in
+        if runnable c then begin
+          t.cursor <- (c + 1) mod t.ncores;
+          res := c
+        end;
+        incr k
+      done;
+      !res
   | Seeded_random ->
       let n = ref 0 in
       for c = 0 to t.ncores - 1 do
         if runnable c then incr n
       done;
-      if !n = 0 then None
+      if !n = 0 then -1
       else begin
         (* pick the k-th runnable core: one rng draw per slice, so the
            draw sequence depends only on how many slices ran, keeping
@@ -67,5 +68,5 @@ let next t ~runnable =
             if !seen = k then res := !c else incr seen;
           incr c
         done;
-        Some !res
+        !res
       end

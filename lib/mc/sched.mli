@@ -25,7 +25,8 @@ val create : ?policy:policy -> ncores:int -> int -> t
 
 val ncores : t -> int
 
-val next : t -> runnable:(int -> bool) -> int option
-(** The core to advance next, or [None] when no core is runnable (the
+val next : t -> runnable:(int -> bool) -> int
+(** The core to advance next, or [-1] when no core is runnable (the
     machine has quiesced).  [runnable] is queried with core indices in
-    [0, ncores). *)
+    [0, ncores).  Allocates nothing, so a caller that builds [runnable]
+    once picks a core per slice without touching the heap. *)

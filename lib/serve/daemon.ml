@@ -301,12 +301,16 @@ let run ?(log = prerr_endline) (cfg : config) =
          ("client_gone", Json.Int client_gone);
          ("coalesced", Json.Int (Inflight.coalesced inflight));
          ( "trace_share",
-           let shared, recorded, entries = Trace_share.stats traces in
+           let t = Trace_share.stats traces in
            Json.Obj
              [
-               ("shared", Json.Int shared);
-               ("recorded", Json.Int recorded);
-               ("entries", Json.Int entries);
+               ("shared", Json.Int t.Trace_share.shared);
+               ("waits", Json.Int t.Trace_share.waits);
+               ("recordings", Json.Int t.Trace_share.recordings);
+               ("recorded", Json.Int t.Trace_share.recorded);
+               ("entries", Json.Int t.Trace_share.entries);
+               ("replays", Json.Int t.Trace_share.replays);
+               ("replays_shared", Json.Int t.Trace_share.replays_shared);
              ] );
          ( "memo",
            let m = Memo.stats memo in
@@ -424,15 +428,17 @@ let run ?(log = prerr_endline) (cfg : config) =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   Pf_util.Pool.Service.drain service;
   Option.iter Store.close store;
-  let m = Memo.stats memo in
+  let m = Memo.stats memo and t = Trace_share.stats traces in
   Mutex.lock c.m;
   log
     (Printf.sprintf
        "serve: shutdown complete served=%d hits=%d computed=%d errors=%d \
         overloaded=%d degraded=%d timeouts=%d client_gone=%d coalesced=%d \
         memo_hits=%d memo_misses=%d memo_replies=%d memo_entries=%d \
-        memo_bytes=%d"
+        memo_bytes=%d trace_recordings=%d trace_waits=%d trace_replays=%d \
+        trace_replays_shared=%d"
        c.served c.hits c.computed c.errors c.overloaded c.degraded c.timeouts
        c.client_gone (Inflight.coalesced inflight) m.Memo.hits m.Memo.misses
-       m.Memo.replies m.Memo.entries m.Memo.bytes);
+       m.Memo.replies m.Memo.entries m.Memo.bytes t.Trace_share.recordings
+       t.Trace_share.waits t.Trace_share.replays t.Trace_share.replays_shared);
   Mutex.unlock c.m

@@ -32,7 +32,10 @@
     [status] reports, and the shutdown line logs, the counters [served],
     [cache_hits] ([hits] in the line), [computed], [errors],
     [overloaded], [degraded], [timeouts], [client_gone] and
-    [coalesced], and the memo's {!Memo.stats}. *)
+    [coalesced], the memo's {!Memo.stats}, and the shared recordings'
+    {!Trace_share.stats} ([status] has them all under [trace_share];
+    the line has [trace_recordings], [trace_waits], [trace_replays] and
+    [trace_replays_shared]). *)
 
 type config = {
   socket_path : string;

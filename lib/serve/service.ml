@@ -48,7 +48,7 @@ type resolved = {
   r_program : Pf_kir.Ast.program;
   r_name : string;
   r_unroll : int;
-  r_digest : string Lazy.t;  (* forced only to key a shared recording *)
+  r_digest : string Lazy.t;  (* forced to key a recording half *)
 }
 
 (* An explicit unroll wins; otherwise a registry program compiles with
@@ -188,12 +188,68 @@ let synthesis_of ~weighting ~(req : Proto.request) ~(r : resolved) image
   in
   (syn, dyn_insns)
 
-(* Synthesis needs only a profile, so it keeps the bare counting run. *)
-let compute_synthesize ~(req : Proto.request) ~(r : resolved) ?max_steps
+(* ---- shared recordings ---- *)
+
+(* Trace-sharing keys: exactly what determines a recording half.  Geometry
+   stays out — requests share across it — and so does a deadline, which
+   aborts a recording but cannot truncate one. *)
+let arm_key ~(r : resolved) ~max_steps =
+  String.concat "\n"
+    [
+      "powerfits-trace/1";
+      "program=" ^ Lazy.force r.r_digest;
+      Printf.sprintf "unroll=%d" r.r_unroll;
+      opt_int "max_steps" max_steps;
+    ]
+
+let fits_key ~weighting ~(req : Proto.request) ~r ~max_steps =
+  String.concat "\n"
+    [
+      arm_key ~r ~max_steps;
+      opt_int "dict_budget" req.Proto.dict_budget;
+      "weighting=" ^ Pf_multi.Weighting.to_string weighting;
+    ]
+
+(* The flag says whether another request recorded the half. *)
+let arm_half ts ~(r : resolved) ?max_steps ?deadline () =
+  Trace_share.arm_half ts ~key:(arm_key ~r ~max_steps) (fun () ->
+      X.record_arm ?max_steps ?deadline
+        (Registry.of_program ~unroll:r.r_unroll ~category:"serve" r.r_name
+           r.r_program))
+
+(* A FITS half, built on the table's ARM half and its counts, so a
+   program's ARM side runs once while it stays in the table. *)
+let fits_half ts ~weighting ~req ~r ?max_steps ?deadline () =
+  Trace_share.fits_half ts ~key:(fits_key ~weighting ~req ~r ~max_steps)
+    ~arm:(fun () -> fst (arm_half ts ~r ?max_steps ?deadline ()))
+    (fun arm ->
+      let recording = Trace_share.recording arm in
+      let syn, _ =
+        synthesis_of ~weighting ~req ~r recording.X.arm.X.image
+          ~dyn_counts:(Trace_share.counts ts arm)
+      in
+      X.record_fits ?max_steps ?deadline ~dict_budget:req.Proto.dict_budget
+        syn recording)
+
+(* Synthesis needs only a profile.  The table's ARM half has one when the
+   table holds it or another request is recording it: its counts are a
+   counting run's, and its output the same program's.  Otherwise a bare
+   counting run, which costs less than a recording. *)
+let compute_synthesize ts ~(req : Proto.request) ~(r : resolved) ?max_steps
     ?deadline () =
-  let image = Pf_armgen.Compile.program ~unroll:r.r_unroll r.r_program in
-  let dyn_counts, output =
-    Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
+  let image, dyn_counts, output =
+    match Trace_share.find ts ~key:(arm_key ~r ~max_steps) with
+    | Some arm ->
+        let a = (Trace_share.recording arm).X.arm in
+        ( a.X.image,
+          Trace_share.counts ts arm,
+          a.X.arm_result.Pf_cpu.Arm_run.output )
+    | None ->
+        let image = Pf_armgen.Compile.program ~unroll:r.r_unroll r.r_program in
+        let dyn_counts, output =
+          Pf_fits.Synthesis.dyn_counts_of_run ?max_steps ?deadline image
+        in
+        (image, dyn_counts, output)
   in
   let syn, dyn_insns =
     synthesis_of ~weighting:req.Proto.weighting ~req ~r image ~dyn_counts
@@ -209,53 +265,6 @@ let compute_synthesize ~(req : Proto.request) ~(r : resolved) ?max_steps
       ("dyn_insns", Json.Int dyn_insns);
       ("output_md5", Json.String (output_md5 output));
     ]
-
-(* ---- shared recordings ---- *)
-
-(* Trace-sharing keys: exactly what determines a recording half.  Geometry
-   stays out — requests share across it — and so does a deadline, which
-   aborts a recording but cannot truncate one. *)
-let arm_key ~(r : resolved) ~max_steps =
-  [
-    "powerfits-trace/1";
-    "program=" ^ Lazy.force r.r_digest;
-    Printf.sprintf "unroll=%d" r.r_unroll;
-    opt_int "max_steps" max_steps;
-  ]
-
-let fits_key ~weighting ~(req : Proto.request) ~r ~max_steps =
-  arm_key ~r ~max_steps
-  @ [
-      opt_int "dict_budget" req.Proto.dict_budget;
-      "weighting=" ^ Pf_multi.Weighting.to_string weighting;
-    ]
-
-(* The flag says whether the table already held the recording.  [key] is
-   built only for a table: an inline program's digest is an encode. *)
-let shared ?traces ~key record =
-  match traces with
-  | None -> (record (), false)
-  | Some ts ->
-      Trace_share.find_or_record ts ~key:(String.concat "\n" (key ())) record
-
-let arm_half ?traces ~(r : resolved) ?max_steps ?deadline () =
-  shared ?traces ~key:(fun () -> arm_key ~r ~max_steps) (fun () ->
-      X.record_arm ?max_steps ?deadline
-        (Registry.of_program ~unroll:r.r_unroll ~category:"serve" r.r_name
-           r.r_program))
-
-(* A recording with one FITS half, built on the table's ARM half, so a
-   program's ARM side runs once while it stays in the table. *)
-let fits_half ?traces ~weighting ~req ~r ?max_steps ?deadline () =
-  shared ?traces ~key:(fun () -> fits_key ~weighting ~req ~r ~max_steps)
-    (fun () ->
-      let arm, _ = arm_half ?traces ~r ?max_steps ?deadline () in
-      let syn, _ =
-        synthesis_of ~weighting ~req ~r arm.X.arm.X.image
-          ~dyn_counts:(X.dyn_counts arm)
-      in
-      X.record_fits ?max_steps ?deadline ~dict_budget:req.Proto.dict_budget
-        syn arm)
 
 (* An evaluate reply: one configuration's metrics, with the FITS-only
    fields at their places. *)
@@ -283,37 +292,26 @@ let evaluate_json ~(r : resolved) ~isa ~after_insns ~before_power
         ("output_md5", Json.String (output_md5 output));
       ])
 
-(* An evaluate executes only its own ISA.  At the recording point it
-   answers from the recording run itself; at any other geometry it
-   replays the recorded stream, which is bit-identical to a direct run
-   there and to explore-point's point for the same variant. *)
-let compute_evaluate ?traces ~(req : Proto.request) ~(r : resolved) ?max_steps
+(* An evaluate executes only its own ISA and reads the half's result at
+   its geometry: the recording run at the recording point, a replay of
+   the recorded stream elsewhere — bit-identical to a direct run there
+   and to explore-point's point for the same variant. *)
+let compute_evaluate ts ~(req : Proto.request) ~(r : resolved) ?max_steps
     ?deadline () =
   let g = req.Proto.geometry in
-  let recorded = g = Pf_dse.Space.recording_point in
   match req.Proto.isa with
   | Proto.Arm ->
-      let recording, _ = arm_half ?traces ~r ?max_steps ?deadline () in
-      let a = recording.X.arm in
-      let output = a.X.arm_result.Pf_cpu.Arm_run.output in
-      let res =
-        if recorded then a.X.arm_result
-        else Pf_cpu.Arm_run.replay ~cache_cfg:g ~output a.X.image a.X.arm_trace
-      in
+      let arm, _ = arm_half ts ~r ?max_steps ?deadline () in
+      let res = Trace_share.arm_result ts arm g in
       evaluate_json ~r ~isa:"arm" ~after_insns:[] ~before_power:[]
-        (X.metrics_of_arm g res) output
+        (X.metrics_of_arm g res) res.Pf_cpu.Arm_run.output
   | Proto.Fits ->
-      let recording, _ =
-        fits_half ?traces ~weighting:req.Proto.weighting ~req ~r ?max_steps
+      let fits, _ =
+        fits_half ts ~weighting:req.Proto.weighting ~req ~r ?max_steps
           ?deadline ()
       in
-      let f = List.hd recording.X.fits in
-      let res =
-        if recorded then f.X.fits_result
-        else
-          Pf_fits.Run.replay ~cache_cfg:g ~like:f.X.fits_result
-            f.X.translation f.X.fits_trace
-      in
+      let f = List.hd (Trace_share.recording fits).X.fits in
+      let res = Trace_share.fits_result ts fits g in
       evaluate_json ~r ~isa:"fits"
         ~after_insns:
           [
@@ -329,21 +327,22 @@ let compute_evaluate ?traces ~(req : Proto.request) ~(r : resolved) ?max_steps
         (X.metrics_of_fits g res) res.Pf_fits.Run.output
 
 (* Explore-point synthesizes with multiplier 1 whatever the request's
-   weighting, so it shares FITS halves with [dynamic]-weighted
-   evaluates. *)
-let compute_explore_point ?traces ~(req : Proto.request) ~(r : resolved)
+   weighting, so it shares FITS halves with [dynamic]-weighted evaluates,
+   and it reads both ISAs' results at its geometry as evaluate does. *)
+let compute_explore_point ts ~(req : Proto.request) ~(r : resolved)
     ?max_steps ?deadline () =
-  let recording, trace_shared =
-    fits_half ?traces ~weighting:Pf_multi.Weighting.Dyn_count ~req ~r
-      ?max_steps ?deadline ()
+  let fits, trace_shared =
+    fits_half ts ~weighting:Pf_multi.Weighting.Dyn_count ~req ~r ?max_steps
+      ?deadline ()
   in
-  let run = X.sweep_recording ~geometries:[ req.Proto.geometry ] recording in
-  let point_json (p : X.point) =
-    let m = p.X.metrics in
+  let g = req.Proto.geometry in
+  let recording = Trace_share.recording fits in
+  let a = recording.X.arm and f = List.hd recording.X.fits in
+  let point variant (m : X.metrics) =
     Json.Obj
       [
-        ("variant", Json.String (X.variant_label p.X.variant));
-        ("geometry", Proto.geometry_to_json p.X.geometry);
+        ("variant", Json.String (X.variant_label variant));
+        ("geometry", Proto.geometry_to_json g);
         ("instructions", Json.Int m.X.instructions);
         ("cycles", Json.Int m.X.cycles);
         ("ipc", Json.Float m.X.ipc);
@@ -356,9 +355,21 @@ let compute_explore_point ?traces ~(req : Proto.request) ~(r : resolved)
   Json.Obj
     [
       ("program", Json.String r.r_name);
-      ("points", Json.List (List.map point_json run.X.points));
-      ("replayed_events", Json.Int run.X.replayed_events);
-      ("outputs_consistent", Json.Bool run.X.outputs_consistent);
+      ( "points",
+        Json.List
+          [
+            point X.Arm (X.metrics_of_arm g (Trace_share.arm_result ts fits g));
+            point (X.Fits f.X.dict_budget)
+              (X.metrics_of_fits g (Trace_share.fits_result ts fits g));
+          ] );
+      ( "replayed_events",
+        Json.Int
+          (Pf_cpu.Trace.length a.X.arm_trace
+          + Pf_cpu.Trace.length f.X.fits_trace) );
+      ( "outputs_consistent",
+        Json.Bool
+          (f.X.fits_result.Pf_fits.Run.output
+          = a.X.arm_result.Pf_cpu.Arm_run.output) );
       ("trace_shared", Json.Bool trace_shared);
     ]
 
@@ -368,6 +379,9 @@ let default_budget_s = 60.
 
 let compute ?traces ?(budget_s = default_budget_s) ?default_max_steps
     (req : Proto.request) =
+  (* with no shared table, one of the request's own: its paths still
+     record each half once and compute each result once *)
+  let ts = match traces with Some ts -> ts | None -> Trace_share.create () in
   let attempt (req : Proto.request) =
     SE.protect ~where:"serve.service" (fun () ->
         let r = resolve req in
@@ -382,11 +396,11 @@ let compute ?traces ?(budget_s = default_budget_s) ?default_max_steps
           else None
         in
         match req.Proto.action with
-        | Proto.Synthesize -> compute_synthesize ~req ~r ?max_steps ?deadline ()
-        | Proto.Evaluate ->
-            compute_evaluate ?traces ~req ~r ?max_steps ?deadline ()
+        | Proto.Synthesize ->
+            compute_synthesize ts ~req ~r ?max_steps ?deadline ()
+        | Proto.Evaluate -> compute_evaluate ts ~req ~r ?max_steps ?deadline ()
         | Proto.Explore_point ->
-            compute_explore_point ?traces ~req ~r ?max_steps ?deadline ()
+            compute_explore_point ts ~req ~r ?max_steps ?deadline ()
         | (Proto.Status | Proto.Shutdown) as a ->
             err "action %s is not computable" (Proto.action_name a))
   in

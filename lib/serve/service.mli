@@ -53,21 +53,24 @@ val compute :
     failing.  Deterministic simulation errors never retry.
 
     Evaluate and explore-point read the program's recording
-    ({!Pf_dse.Explore.recording}): its ARM half, keyed by program
-    content, unroll and effective max_steps, and for FITS a FITS half
-    that adds the dictionary budget and synthesis weighting (multiplier
-    1 for explore-point).  Geometry never enters, so requests walking a
-    geometry grid record once and replay many.  With [traces] the halves
-    are shared across requests; an explore-point reply's [trace_shared]
-    field says whether its recording was already in the table.  An
-    evaluate runs only its own ISA and answers from the recording run at
-    {!Pf_dse.Space.recording_point}, elsewhere from a replay — the bytes
-    a direct run at that geometry gives, with the power explore-point
-    reports for the same variant
+    ({!Pf_dse.Explore.recording}) through a {!Trace_share} table: its
+    ARM half, keyed by program content, unroll and effective max_steps,
+    and for FITS a FITS half that adds the dictionary budget and
+    synthesis weighting (multiplier 1 for explore-point).  Geometry
+    never enters, so requests walking a geometry grid record once and
+    replay many.  With [traces] the halves and their results are shared
+    across requests, each computed once; without it the request gets a
+    table of its own.  An explore-point reply's [trace_shared] field
+    says whether another request recorded its FITS half.  Both actions
+    answer from the recording runs at {!Pf_dse.Space.recording_point}
+    and from the half's replay at any other geometry — the bytes a
+    direct run at that geometry gives; evaluate runs only its own ISA,
+    with the power explore-point reports for the same variant
     ({!Pf_power.Account.Params.for_geometry} at every geometry).
-    Results are bit-identical with or without sharing (replays are
-    read-only on the recording).  Synthesize keeps a bare counting
-    run. *)
+    Synthesize reads its profile from the table's ARM half when the
+    table holds it or is recording it, and otherwise runs a bare
+    counting run.  Replies are bit-identical with or without sharing
+    and in any request order, apart from [trace_shared]. *)
 
 val envelope : degraded:bool -> Json.t -> string
 (** Store payload for a computed result: result JSON plus the degraded

@@ -1,12 +1,21 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes rather than a mutable [int64]
+   field, so reading and writing it moves a raw machine word: with [next]
+   inlined, a draw allocates nothing (a boxed field cost a fresh [Int64]
+   per draw, and the result another). *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let make state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
+
+let create seed = make (Int64.of_int seed)
 
 (* splitmix64: fast, high-quality, and trivially reproducible. *)
-let next t =
+let[@inline] next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
@@ -32,4 +41,4 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let split t = { state = next t }
+let split t = make (next t)

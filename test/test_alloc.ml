@@ -162,6 +162,28 @@ let test_single_pass_sweep_alloc () =
   check_budget "Sweep.run (36-geometry single-pass kernel)"
     (minor_delta run)
 
+(* A litmus machine asks the seeded-random scheduler for a core every
+   slice.  With [runnable] built once, as [Machine] does, a pick
+   allocates nothing: no [Some], no closure, and an Rng draw that keeps
+   its state unboxed.  100k picks at the old 12 words each would cost
+   1.2M words. *)
+let test_sched_alloc () =
+  let halted = [| false; true; false; false |] in
+  let runnable c = not halted.(c) in
+  let s =
+    Pf_mc.Sched.create ~policy:Pf_mc.Sched.Seeded_random ~ncores:4 42
+  in
+  let r = Pf_util.Rng.create 42 in
+  let picks () =
+    for _ = 1 to 100_000 do
+      ignore (Sys.opaque_identity (Pf_mc.Sched.next s ~runnable));
+      ignore (Sys.opaque_identity (Pf_util.Rng.int r 1000))
+    done
+  in
+  picks ();
+  check_budget "Sched.next and Rng.int (100k seeded-random picks)"
+    (minor_delta picks)
+
 let tests =
   [
     Alcotest.test_case "ARM step loop is allocation-free" `Quick
@@ -182,4 +204,6 @@ let tests =
       test_dse_sweep_alloc;
     Alcotest.test_case "single-pass sweep kernel is allocation-free" `Quick
       test_single_pass_sweep_alloc;
+    Alcotest.test_case "seeded-random scheduler pick is allocation-free"
+      `Quick test_sched_alloc;
   ]

@@ -76,10 +76,7 @@ let test_model_iriw () =
 
 let picks policy seed n =
   let s = Sched.create ~policy ~ncores:4 seed in
-  List.init n (fun _ ->
-      match Sched.next s ~runnable:(fun _ -> true) with
-      | Some c -> c
-      | None -> -1)
+  List.init n (fun _ -> Sched.next s ~runnable:(fun _ -> true))
 
 let test_sched_deterministic () =
   Alcotest.(check (list int)) "random policy replays bit-identically"
@@ -94,14 +91,10 @@ let test_sched_rr () =
     (picks Sched.Round_robin 0 8);
   (* halted cores are skipped, the rest keep cycling *)
   let s = Sched.create ~policy:Sched.Round_robin ~ncores:3 0 in
-  let run = List.init 6 (fun _ ->
-      match Sched.next s ~runnable:(fun c -> c <> 1) with
-      | Some c -> c
-      | None -> -1)
-  in
+  let run = List.init 6 (fun _ -> Sched.next s ~runnable:(fun c -> c <> 1)) in
   Alcotest.(check (list int)) "rr skips non-runnable" [ 0; 2; 0; 2; 0; 2 ] run;
-  Alcotest.(check bool) "quiesced machine yields None" true
-    (Sched.next s ~runnable:(fun _ -> false) = None)
+  Alcotest.(check int) "quiesced machine yields -1" (-1)
+    (Sched.next s ~runnable:(fun _ -> false))
 
 (* ---- snoop invalidation ------------------------------------------------ *)
 
@@ -396,7 +389,7 @@ let test_private_run_is_interleaved () =
       let next16 s =
         List.init 16 (fun _ -> Sched.next s ~runnable:(fun _ -> true))
       in
-      Alcotest.(check (list (option int)))
+      Alcotest.(check (list int))
         (tag ^ ": run drew nothing from the scheduler")
         (next16 (Sched.create ~policy ~ncores:4 seed))
         (next16 ran_sched);

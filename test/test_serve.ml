@@ -1014,6 +1014,75 @@ let test_memo_budget () =
   check_int "and misses every time" 7 (Memo.stats m).Memo.misses;
   bytes_ok ()
 
+(* Fuzzed frames: random bytes, and truncations and single-byte flips of
+   valid named and inline request frames, so that mutated programs reach
+   [Kir_codec].  Every one must decode to a request or to an [Error]
+   carrying a structured error, never raise, and take at most
+   [fuzz_bound_s]. *)
+let fuzz_bound_s = 0.5
+
+type fuzzed = Bytes_of of string | Cut of int * int | Flip of int * int * int
+
+let test_memo_fuzz () =
+  let requests =
+    Pf_serve.Loadgen.corpus ~inline:[ generated 21; generated 22 ]
+      ~benchmarks:[ "crc32"; "sha" ] ()
+    @ List.map
+        (fun action -> { Proto.default_request with Proto.action })
+        [ Proto.Status; Proto.Shutdown ]
+  in
+  let frames = Array.of_list (List.map frame_of requests) in
+  let input = function
+    | Bytes_of s -> s
+    | Cut (i, n) -> String.sub frames.(i) 0 (n mod String.length frames.(i))
+    | Flip (i, pos, byte) ->
+        let b = Bytes.of_string frames.(i) in
+        let pos = pos mod Bytes.length b in
+        let c = Char.code (Bytes.get b pos) in
+        Bytes.set b pos (Char.chr (if byte = c then c lxor 1 else byte));
+        Bytes.to_string b
+  in
+  let gen =
+    QCheck.Gen.(
+      let frame = int_bound (Array.length frames - 1) in
+      frequency
+        [
+          (1, map (fun s -> Bytes_of s) (string_size (int_bound 4096)));
+          (1, map2 (fun i n -> Cut (i, n)) frame nat);
+          ( 4,
+            map3 (fun i pos byte -> Flip (i, pos, byte)) frame nat
+              (int_bound 255) );
+        ])
+  in
+  let print f =
+    let s = input f in
+    Printf.sprintf "%d bytes: %S" (String.length s)
+      (String.sub s 0 (min 200 (String.length s)))
+  in
+  let m = Memo.create () in
+  let decoded = ref 0 and codec = ref 0 in
+  let prop =
+    QCheck.Test.make ~name:"memo: fuzzed frames" ~count:2000
+      (QCheck.make ~print gen) (fun f ->
+        let frame = input f in
+        let t0 = Unix.gettimeofday () in
+        let r =
+          try Memo.decode m frame
+          with e ->
+            QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        (match r with
+        | Ok _ -> incr decoded
+        | Error e -> if e.SE.where = "serve.kir_codec" then incr codec);
+        if dt > fuzz_bound_s then
+          QCheck.Test.fail_reportf "decode took %.3f s" dt;
+        true)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |]) prop;
+  check_bool "mutated frames reached the KIR codec" true (!codec > 0);
+  check_bool "some mutated frames still decode" true (!decoded > 0)
+
 let test_daemon_memo_hit () =
   with_tmpdir "memo-store" @@ fun store_dir ->
   let req =
@@ -1346,10 +1415,10 @@ let test_trace_sharing () =
   check_bool "second point shares" true (shared r8);
   (* the first point recorded two halves: the ARM half, then the FITS
      half built on it *)
-  let shd, rcd, ent = Pf_serve.Trace_share.stats traces in
-  check_int "one share" 1 shd;
-  check_int "two halves recorded" 2 rcd;
-  check_int "two entries" 2 ent;
+  let st = Pf_serve.Trace_share.stats traces in
+  check_int "one share" 1 st.Pf_serve.Trace_share.shared;
+  check_int "two halves recorded" 2 st.Pf_serve.Trace_share.recorded;
+  check_int "two entries" 2 st.Pf_serve.Trace_share.entries;
   (* bit-identical to a compute with no sharing, apart from the flag *)
   let member name r =
     match J.member name r with
@@ -1371,10 +1440,207 @@ let test_trace_sharing () =
   in
   check_bool "dict budget splits the key" false (shared r_dict);
   (* a new FITS half, built on the shared ARM half *)
-  let shd, rcd, ent = Pf_serve.Trace_share.stats traces in
-  check_int "the ARM half is shared" 2 shd;
-  check_int "one more FITS half" 3 rcd;
-  check_int "three entries" 3 ent
+  let st = Pf_serve.Trace_share.stats traces in
+  check_int "the ARM half is shared" 2 st.Pf_serve.Trace_share.shared;
+  check_int "one more FITS half" 3 st.Pf_serve.Trace_share.recorded;
+  check_int "three entries" 3 st.Pf_serve.Trace_share.entries
+
+(* ---- single-flight recordings ---- *)
+
+module TS = Pf_serve.Trace_share
+
+(* Polls [p] until it holds or [timeout_s] passes. *)
+let wait_until ?(timeout_s = 10.) p =
+  let t0 = Unix.gettimeofday () in
+  while (not (p ())) && Unix.gettimeofday () -. t0 < timeout_s do
+    Unix.sleepf 0.001
+  done
+
+(* Two domains ask [ts] for one half.  The first blocks inside its
+   recording until the second has joined it (or 2 s passed, on a table
+   that lets the second record); with [fail_first] that recording then
+   raises.  Both outcomes, and the number of recordings run. *)
+let race ?(fail_first = false) ts =
+  let runs = Atomic.make 0 and gate = Atomic.make false in
+  let record () =
+    if Atomic.fetch_and_add runs 1 = 0 then begin
+      wait_until (fun () -> Atomic.get gate);
+      if fail_first then
+        SE.raisef SE.Watchdog_timeout ~where:"test" "the leader's deadline"
+    end;
+    Pf_dse.Explore.record_arm (Pf_mibench.Registry.find_exn "crc32")
+  in
+  let ask () =
+    SE.protect ~where:"test" (fun () -> TS.arm_half ts ~key:"crc32" record)
+  in
+  let first = Domain.spawn ask in
+  wait_until (fun () -> Atomic.get runs = 1);
+  let second = Domain.spawn ask in
+  wait_until ~timeout_s:2. (fun () -> (TS.stats ts).TS.waits = 1);
+  Atomic.set gate true;
+  let first = Domain.join first in
+  let second = Domain.join second in
+  (first, second, Atomic.get runs)
+
+let test_single_flight () =
+  let ts = TS.create () in
+  (match race ts with
+  | Ok (h1, shared1), Ok (h2, shared2), runs ->
+      check_int "one recording ran" 1 runs;
+      check_bool "the first recorded" false shared1;
+      check_bool "the second shared its recording" true shared2;
+      check_bool "both hold one recording" true
+        (TS.recording h1 == TS.recording h2)
+  | _ -> Alcotest.fail "a recording failed");
+  let st = TS.stats ts in
+  check_int "recordings" 1 st.TS.recordings;
+  check_int "recorded" 1 st.TS.recorded;
+  check_int "waits" 1 st.TS.waits;
+  check_int "entries" 1 st.TS.entries
+
+(* A leader whose recording raises frees its key: its waiter records for
+   itself instead of inheriting the error. *)
+let test_failed_leader () =
+  let ts = TS.create () in
+  (match race ~fail_first:true ts with
+  | Error e, Ok (_, shared), runs ->
+      check_bool "the leader fails with its own error" true
+        (e.SE.kind = SE.Watchdog_timeout);
+      check_bool "the waiter recorded for itself" false shared;
+      check_int "two recordings ran" 2 runs
+  | _, Error e, _ -> Alcotest.failf "the waiter failed: %s" (SE.to_string e)
+  | Ok _, _, _ -> Alcotest.fail "the leader's recording succeeded");
+  let st = TS.stats ts in
+  check_int "two recordings counted" 2 st.TS.recordings;
+  check_int "one entered the table" 1 st.TS.recorded;
+  check_int "one entry" 1 st.TS.entries;
+  check_bool "an absent key is not found" true
+    (Option.is_none (TS.find ts ~key:"absent"));
+  check_bool "the recorded key is found" true
+    (Option.is_some (TS.find ts ~key:"crc32"))
+
+(* One program's corpus requests (both ISAs at 16 KB and 8 KB,
+   explore-point at both, synthesize) record each half once and replay
+   each trace once, at 8 KB, in any order and under concurrency.  Only
+   synthesize depends on order: first, it finds no ARM half and runs
+   the bare counting run. *)
+let test_trace_share_counters () =
+  let corpus = Pf_serve.Loadgen.corpus ~benchmarks:[ "crc32" ] () in
+  List.iter
+    (fun (label, run, shared) ->
+      let ts = TS.create () in
+      run
+        (fun req ->
+          match Service.compute ~traces:ts req with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: %s" label (SE.to_string e))
+        corpus;
+      let st = TS.stats ts in
+      List.iter
+        (fun (name, want, got) -> check_int (label ^ ": " ^ name) want got)
+        [
+          ("recordings", 2, st.TS.recordings);
+          ("recorded", 2, st.TS.recorded);
+          ("entries", 2, st.TS.entries);
+          ("replays", 2, st.TS.replays);
+          ("replays shared", 2, st.TS.replays_shared);
+        ];
+      Option.iter
+        (fun want ->
+          check_int (label ^ ": shared") want st.TS.shared;
+          check_int (label ^ ": waits") 0 st.TS.waits)
+        shared)
+    [
+      ("corpus order", List.iter, Some 6);
+      ("reverse order", (fun f l -> List.iter f (List.rev l)), Some 5);
+      ( "two domains",
+        (fun f l -> ignore (Pf_util.Pool.map ~jobs:2 f l)),
+        None );
+    ]
+
+(* Every reply computed over one shared table equals the reply computed
+   with no table, minus [trace_shared], whichever order the table sees
+   the requests in.  The corpus is the registry plus three generated
+   programs at the paper's geometries and two 4 KB ones that differ only
+   in associativity, so a result memo that drops a geometry field
+   answers one from the other.  Computing all 312 replies with no table
+   takes about a minute, so their digest is pinned (replies computed
+   before recordings were shared give it too) and only crc32's and the
+   generated programs' replies are computed with no table here.  The two
+   ordered passes run side by side, each over its own small table, so
+   they evict halves as they move from program to program. *)
+let test_shared_replies_identical () =
+  let model = Pf_workgen.Calibrate.reference () in
+  let geometries =
+    [
+      Pf_dse.Space.cache_16k;
+      Pf_dse.Space.cache_8k;
+      Pf_cache.Icache.config ~size_bytes:4096 ~block_bytes:16 ~assoc:2 ();
+      Pf_cache.Icache.config ~size_bytes:4096 ~block_bytes:16 ~assoc:4 ();
+    ]
+  in
+  let base = Proto.default_request in
+  let requests program =
+    List.concat_map
+      (fun geometry ->
+        [
+          { base with Proto.program; isa = Proto.Arm; geometry };
+          { base with Proto.program; isa = Proto.Fits; geometry };
+          { base with Proto.action = Proto.Explore_point; program; geometry };
+        ])
+      geometries
+    @ [ { base with Proto.action = Proto.Synthesize; program } ]
+  in
+  let generated =
+    List.map
+      (fun seed ->
+        Proto.Inline (Pf_workgen.Generate.program ~model ~seed ~index:0))
+      [ 11; 12; 13 ]
+  in
+  let corpus =
+    List.concat_map requests
+      (List.map (fun n -> Proto.Named n) Pf_mibench.Registry.names @ generated)
+  in
+  let reply ?traces req =
+    match Service.compute ?traces req with
+    | Ok (J.Obj fields, degraded) ->
+        Printf.sprintf "%b %s" degraded
+          (J.to_string (J.Obj (List.remove_assoc "trace_shared" fields)))
+    | Ok (j, degraded) -> Printf.sprintf "%b %s" degraded (J.to_string j)
+    | Error e -> Alcotest.failf "compute failed: %s" (SE.to_string e)
+  in
+  let shared ~capacity order =
+    let traces = TS.create ~capacity () in
+    List.map (fun req -> (req, reply ~traces req)) (order corpus)
+  in
+  let reverse = Domain.spawn (fun () -> shared ~capacity:2 List.rev) in
+  let forward = shared ~capacity:2 Fun.id in
+  let reverse = Domain.join reverse in
+  let traces = TS.create ~capacity:4 () in
+  let two_domains =
+    List.combine corpus
+      (Pf_util.Pool.map ~jobs:2 (fun req -> reply ~traces req) corpus)
+  in
+  let live =
+    List.concat_map requests (Proto.Named "crc32" :: generated)
+    |> List.map (fun req -> (req, reply req))
+  in
+  List.iter
+    (fun (label, pairs) ->
+      let replies = List.map (fun req -> List.assq req pairs) corpus in
+      check_string (label ^ ": digest of every reply")
+        "9144e7732816f073583fb873e3458e6c"
+        (Digest.to_hex (Digest.string (String.concat "\n" replies)));
+      List.iter
+        (fun (req, want) ->
+          check_string (label ^ ": the reply computed with no table") want
+            (List.assoc req pairs))
+        live)
+    [
+      ("corpus order", forward);
+      ("reverse order", reverse);
+      ("two domains", two_domains);
+    ]
 
 (* ---- evaluate oracle ---- *)
 
@@ -1556,8 +1822,8 @@ let test_evaluate_oracle () =
             [ Pf_multi.Weighting.Dyn_count; Pf_multi.Weighting.Uniform ])
         [ Proto.Arm; Proto.Fits ])
     programs;
-  let shd, _, _ = Pf_serve.Trace_share.stats traces in
-  check_bool "the table served halves" true (shd > 0)
+  check_bool "the table served halves" true
+    ((Pf_serve.Trace_share.stats traces).Pf_serve.Trace_share.shared > 0)
 
 (* An ARM evaluate executes only ARM: a step budget the ARM run fits but
    the FITS run would exceed still succeeds. *)
@@ -1648,6 +1914,14 @@ let tests =
       `Quick test_evaluate_arm_budget;
     Alcotest.test_case "service: trace sharing across geometries" `Quick
       test_trace_sharing;
+    Alcotest.test_case "trace share: two domains record one half once" `Quick
+      test_single_flight;
+    Alcotest.test_case "trace share: a failed recording frees its waiters"
+      `Quick test_failed_leader;
+    Alcotest.test_case "trace share: one program's corpus counters" `Quick
+      test_trace_share_counters;
+    Alcotest.test_case "service: shared replies equal unshared ones" `Slow
+      test_shared_replies_identical;
     Alcotest.test_case "daemon: ill-formed inline program" `Slow
       test_daemon_ill_formed_inline;
     Alcotest.test_case "memo: transparent, keyed by the whole frame" `Quick
@@ -1655,6 +1929,8 @@ let tests =
     Alcotest.test_case "memo: errors, control and unkeyable frames" `Quick
       test_memo_never_stores;
     Alcotest.test_case "memo: byte budget" `Quick test_memo_budget;
+    Alcotest.test_case "memo: fuzzed frames fail structurally" `Quick
+      test_memo_fuzz;
     Alcotest.test_case "daemon: memo hit replies bit-identical" `Slow
       test_daemon_memo_hit;
     Alcotest.test_case "daemon: reply memo answers third arrivals exactly"

@@ -111,6 +111,36 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int b 1000000) in
   check_bool "split streams differ" true (xs <> ys)
 
+(* The first draws of three seeds, a split stream and each projection, as
+   the generator gave them when its state was a boxed [int64]: every
+   seeded workload (generated programs, litmus schedules, fault
+   campaigns) depends on these exact streams. *)
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        want
+        (List.init 5 (fun _ -> Rng.int r max_int)))
+    [
+      ( 0,
+        [ 4073552104164651883; 1990071630548588925; 121904254867886419;
+          4477402844195135611; 490437550606523686 ] );
+      ( 1,
+        [ 2612804094800205616; 3439311302766607129; 4477959822570722647;
+          2049245188455445058; 2048809309281742190 ] );
+      ( 42,
+        [ 3419864383188818853; 737456523031723072; 1284820937115690964;
+          1587299515064563941; 175383196535490812 ] );
+    ];
+  check_int "split of seed 42" 1583154557381516417
+    (Rng.int (Rng.split (Rng.create 42)) max_int);
+  let r = Rng.create 7 in
+  check_int "int32u" 1496452567 (Rng.int32u r);
+  check_bool "bool" false (Rng.bool r);
+  Alcotest.(check (float 0.)) "float" 0x1.cd30810175625p-1 (Rng.float r 1.0)
+
 let test_shuffle_permutation () =
   let rng = Rng.create 3 in
   let a = Array.init 50 Fun.id in
@@ -187,6 +217,7 @@ let tests =
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng: bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng: split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng: first draws pinned" `Quick test_rng_pinned;
     Alcotest.test_case "rng: shuffle permutes" `Quick test_shuffle_permutation;
     Alcotest.test_case "stats: histogram" `Quick test_histogram;
     Alcotest.test_case "stats: coverage" `Quick test_coverage;

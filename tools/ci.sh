@@ -4,7 +4,7 @@
 # (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
 # sweep checked against its replay oracle), serve (crash recovery, store
 # faults, clients that hang up or stall mid-frame, the decode and reply
-# memos), population, the
+# memos, one recording per half under load), population, the
 # leave-one-out multi campaign and mc (litmus sweeps, private machines'
 # schedule-independent reports, a watchdog in a machine run), of the
 # perfbench workloads' oracles and of the bench/probe.exe views.
@@ -208,6 +208,27 @@ grep -Eq "errors=0 .*memo_hits=[1-9].* memo_replies=[1-9]" \
   echo "ci: memo smoke saw errors, or no memo hits or replies"
   cat "$MEMO_DIR/serve.log"; exit 1; }
 rm -rf "$MEMO_DIR"
+
+echo "== serve smoke: each recording half recorded once under load =="
+# Four clients draw 200 requests from the 21 named keys (3 programs x 7
+# requests) against a fresh daemon with two workers, so requests that
+# need one recording half arrive together.  They must wait for its one
+# recording: the shutdown line must count 6 recordings (an ARM and a
+# FITS half per program) and 6 replays (each half at 8 KB), and no
+# errors.
+ONCE_DIR=$(mktemp -d)
+SOCK="$ONCE_DIR/pf.sock"
+"$PF" serve --socket "$SOCK" --store "$ONCE_DIR/store" --jobs 2 --no-fsync \
+  --max-requests 200 >"$ONCE_DIR/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_for_sock
+"$LOADGEN" --socket "$SOCK" --requests 200 --conns 4
+wait "$SERVE_PID"
+grep -Eq "errors=0 .*trace_recordings=6 .*trace_replays=6 " \
+  "$ONCE_DIR/serve.log" || {
+  echo "ci: a recording half or a replay ran more than once, or errors"
+  cat "$ONCE_DIR/serve.log"; exit 1; }
+rm -rf "$ONCE_DIR"
 
 echo "== population smoke: seeded run, jobs-independent digest =="
 # A 64-program campaign at two jobs counts: the stdout report (digest,
