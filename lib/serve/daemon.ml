@@ -181,7 +181,7 @@ type counters = {
   m : Mutex.t;
   mutable served : int;  (* responses written, any status *)
   mutable hits : int;
-  mutable computed : int;  (* uncached compute replies *)
+  mutable computed : int;  (* computations run, not replies shared *)
   mutable errors : int;
   mutable overloaded : int;
   mutable degraded : int;
@@ -194,15 +194,20 @@ let locked c f =
   f c;
   Mutex.unlock c.m
 
-let count_ok ~cached ~degraded c =
+(* A [joined] reply is a concurrent leader's, shared verbatim
+   ({!Inflight}): it is served, and [coalesced] counts it, but nothing was
+   computed for it. *)
+let count_ok ?(joined = false) ~cached ~degraded c =
   c.served <- c.served + 1;
-  if cached then c.hits <- c.hits + 1 else c.computed <- c.computed + 1;
+  if cached then c.hits <- c.hits + 1
+  else if not joined then c.computed <- c.computed + 1;
   if degraded then c.degraded <- c.degraded + 1
 
-let count_response c resp =
+let count_response ?joined c resp =
   locked c (fun c ->
       match resp with
-      | Proto.Ok_reply { cached; degraded; _ } -> count_ok ~cached ~degraded c
+      | Proto.Ok_reply { cached; degraded; _ } ->
+          count_ok ?joined ~cached ~degraded c
       | Proto.Error_reply _ ->
           c.served <- c.served + 1;
           c.errors <- c.errors + 1
@@ -268,11 +273,15 @@ let run ?(log = prerr_endline) (cfg : config) =
   let traces = Trace_share.create () in
   let memo = Memo.create () in
   let handle_compute (fd, k, slot) =
-    let resp =
-      Service.handle ?store ~inflight ~traces ?budget_s:cfg.budget_s
-        ?default_max_steps:cfg.default_max_steps k
+    let resp, joined =
+      match
+        Service.handle ?store ~inflight ~traces ?budget_s:cfg.budget_s
+          ?default_max_steps:cfg.default_max_steps k
+      with
+      | Inflight.Led resp -> (resp, false)
+      | Inflight.Joined resp -> (resp, true)
     in
-    count_response c resp;
+    count_response ~joined c resp;
     write_reply c fd (fun () -> Memo.reply slot resp);
     close_quiet fd
   in

@@ -35,7 +35,9 @@
     [coalesced], the memo's {!Memo.stats}, and the shared recordings'
     {!Trace_share.stats} ([status] has them all under [trace_share];
     the line has [trace_recordings], [trace_waits], [trace_replays] and
-    [trace_replays_shared]). *)
+    [trace_replays_shared]).  [computed] counts the computations the
+    daemon ran: an {!Inflight} follower's reply, shared from its
+    leader's, is served and [coalesced] but not computed. *)
 
 type config = {
   socket_path : string;

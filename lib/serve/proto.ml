@@ -22,17 +22,27 @@ let really_write fd s =
       !written + Unix.write_substring fd s !written (len - !written)
   done
 
+let read_chunk = 64 * 1024
+
+(* Exactly [n] bytes, or [None] if the stream ends first.  The buffer
+   grows with the bytes that arrive, never to the [n] a header merely
+   claims, and the one that fills last is the result. *)
 let really_read fd n =
-  let buf = Bytes.create n in
-  let got = ref 0 in
-  (try
-     while !got < n do
-       let r = Unix.read fd buf !got (n - !got) in
-       if r = 0 then raise Exit;
-       got := !got + r
-     done
-   with Exit -> ());
-  if !got = n then Some (Bytes.to_string buf) else None
+  let rec go buf got =
+    if got = n then Some (Bytes.unsafe_to_string buf)
+    else
+      let buf =
+        if got < Bytes.length buf then buf
+        else begin
+          let grown = Bytes.create (min n (2 * got)) in
+          Bytes.blit buf 0 grown 0 got;
+          grown
+        end
+      in
+      let r = Unix.read fd buf got (Bytes.length buf - got) in
+      if r = 0 then None else go buf (got + r)
+  in
+  go (Bytes.create (min n read_chunk)) 0
 
 let frame payload =
   let len = String.length payload in

@@ -23,7 +23,19 @@ val write_frame : Unix.file_descr -> string -> unit
 val read_frame : Unix.file_descr -> string option
 (** [None] on clean EOF before a complete frame; raises a structured
     [Invalid_config] {!Pf_util.Sim_error.Error} on an oversized length
-    prefix. *)
+    prefix.  A failed read raises its [Unix.Unix_error] (under
+    [SO_RCVTIMEO], [EAGAIN] once the deadline passes).
+
+    What it allocates follows the bytes that arrive, not the length the
+    header claims: the payload buffer starts at {!read_chunk} bytes (the
+    whole payload, if shorter) and doubles each time it fills, and the
+    buffer that fills last is returned without a copy.  A payload of at
+    most {!read_chunk} bytes costs its own length; a stream that ends
+    early costs at most {!read_chunk} bytes, or four times what arrived
+    once more than that has. *)
+
+val read_chunk : int
+(** 64 KB: the most a frame read allocates before its bytes arrive. *)
 
 (** {2 Requests} *)
 

@@ -445,19 +445,20 @@ let handle ?store ?inflight ?traces ?budget_s ?default_max_steps (k : keyed) =
   let req = k.req in
   match req.Proto.action with
   | Proto.Status | Proto.Shutdown ->
-      Proto.Error_reply
-        {
-          SE.kind = SE.Invalid_config;
-          where = "serve.service";
-          detail =
-            Proto.action_name req.Proto.action
-            ^ " is handled by the daemon, not the compute service";
-          backtrace = None;
-        }
+      Inflight.Led
+        (Proto.Error_reply
+           {
+             SE.kind = SE.Invalid_config;
+             where = "serve.service";
+             detail =
+               Proto.action_name req.Proto.action
+               ^ " is handled by the daemon, not the compute service";
+             backtrace = None;
+           })
   | Proto.Synthesize | Proto.Evaluate | Proto.Explore_point -> (
       let use_cache = store <> None && not req.Proto.no_cache in
       match SE.protect ~where:"serve.service" (fun () -> key k) with
-      | Error e -> Proto.Error_reply e
+      | Error e -> Inflight.Led (Proto.Error_reply e)
       | Ok key ->
           let lookup_or_compute () =
             let cached_hit =
@@ -490,8 +491,6 @@ let handle ?store ?inflight ?traces ?budget_s ?default_max_steps (k : keyed) =
           (* coalescing is safe even under [no_cache]: that flag bypasses
              possibly-stale *store* entries, but a concurrent in-flight
              computation is fresh by definition *)
-          (match inflight with
-          | None -> lookup_or_compute ()
-          | Some infl -> (
-              match Inflight.run infl ~key lookup_or_compute with
-              | Inflight.Led resp | Inflight.Joined resp -> resp)))
+          match inflight with
+          | None -> Inflight.Led (lookup_or_compute ())
+          | Some infl -> Inflight.run infl ~key lookup_or_compute)

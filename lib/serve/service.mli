@@ -87,13 +87,14 @@ val handle :
   ?budget_s:float ->
   ?default_max_steps:int ->
   keyed ->
-  Proto.response
+  Proto.response Inflight.outcome
 (** One computable request end to end: {!key} → verified store lookup
     (transient I/O retried with backoff) → on miss, {!compute} and
     commit.  With [inflight], the lookup-or-compute step is coalesced:
     concurrent calls with the same cache key block on the first and
     share its response verbatim (coalescing applies even under
     [no_cache] — that flag bypasses possibly-stale store entries, but an
-    in-flight computation is fresh by definition).  [Status]/[Shutdown]
-    get an error reply — the daemon answers those itself.  Never
-    raises. *)
+    in-flight computation is fresh by definition).  The response is
+    [Joined] when it was shared that way, so it is no computation of
+    this call's; [Led] otherwise.  [Status]/[Shutdown] get an error
+    reply — the daemon answers those itself.  Never raises. *)

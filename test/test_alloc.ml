@@ -184,6 +184,36 @@ let test_sched_alloc () =
   check_budget "Sched.next and Rng.int (100k seeded-random picks)"
     (minor_delta picks)
 
+(* The hot path calls small [@inline] helpers that live in other modules
+   and libraries: [Bits.hamming] from [Icache], [Account] from [Pipeline]
+   and the sweep.  They inline only in a build that lets ocamlopt look
+   across modules; under [-opaque] (dune's dev profile) each is a call,
+   and each float one returns is boxed.  [Account.window_power] is
+   [@inline always] and lives in pf_power, so 100k calls from this
+   executable allocate nothing when the build inlines it and 200k words
+   (one boxed float a call) when it does not. *)
+let test_cross_module_inline () =
+  let p = Pf_power.Account.Params.default in
+  let g = Pf_power.Geometry.of_config Pf_dse.Space.cache_16k in
+  let calls () =
+    let acc = ref 0. in
+    for i = 1 to 100_000 do
+      acc :=
+        !acc
+        +. Pf_power.Account.window_power p g ~accesses:i ~toggles:(i land 31)
+             ~refill_words:(i land 7) ~cycles:i
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  calls ();
+  let delta = minor_delta calls in
+  if delta >= 1_000 then
+    Alcotest.failf
+      "100k calls of Account.window_power from another library allocated \
+       %d minor words: it was not inlined, so the build passes -opaque \
+       (dune-workspace must select the release profile)"
+      delta
+
 let tests =
   [
     Alcotest.test_case "ARM step loop is allocation-free" `Quick
@@ -206,4 +236,6 @@ let tests =
       test_single_pass_sweep_alloc;
     Alcotest.test_case "seeded-random scheduler pick is allocation-free"
       `Quick test_sched_alloc;
+    Alcotest.test_case "cross-module inline helper is allocation-free" `Quick
+      test_cross_module_inline;
   ]

@@ -446,6 +446,135 @@ let test_frame_roundtrip () =
       check_bool "first frame" true (Proto.read_frame b = Some "hello frame");
       check_bool "empty frame" true (Proto.read_frame b = Some ""))
 
+(* Arbitrary byte streams, each written to a socketpair that is then
+   closed: random bytes, truncated headers, headers claiming any 32-bit
+   length over a short body, [max_frame] claims over a short body, and
+   complete frames of up to two read chunks followed by trailing bytes.
+   [read_frame] must give the stream's first frame exactly, [None] when
+   the stream ends before it, or a structured [Invalid_config] error for
+   a claim past [max_frame], within [frame_read_bound_s].  Whatever the
+   header claims, it may allocate no more than the bytes sent, one
+   [read_chunk] and [frame_read_slack] bytes. *)
+let frame_read_bound_s = 1.0
+let frame_read_slack = 4096
+
+type stream =
+  | Random_bytes of string
+  | Claim of int * string  (* the header's length, then a body *)
+  | Complete of string * string  (* a frame's payload, then more bytes *)
+
+let header n =
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
+
+let stream_bytes = function
+  | Random_bytes s -> s
+  | Claim (n, body) -> header n ^ body
+  | Complete (payload, rest) -> header (String.length payload) ^ payload ^ rest
+
+(* a stream's first frame, by the protocol's definition *)
+let first_frame s =
+  if String.length s < 4 then `End
+  else
+    let n = String.get_int32_be s 0 |> Int32.to_int |> ( land ) 0xFFFF_FFFF in
+    if n > Proto.max_frame then `Too_big
+    else if String.length s - 4 < n then `End
+    else `Frame (String.sub s 4 n)
+
+let test_read_frame_fuzz () =
+  let gen =
+    QCheck.Gen.(
+      let bytes n = string_size (int_bound n) in
+      let claim =
+        frequency
+          [
+            (3, map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF)
+                  (int_bound 0xFFFF));
+            (1, oneofl [ 0; Proto.max_frame; Proto.max_frame + 1; 0xFFFF_FFFF ]);
+          ]
+      in
+      let payload =
+        frequency
+          [
+            (8, bytes 4096);
+            ( 1,
+              int_bound 2 >>= fun d ->
+              string_size
+                (oneofl
+                   [
+                     Proto.read_chunk - d;
+                     Proto.read_chunk + d + 1;
+                     (2 * Proto.read_chunk) - d;
+                   ]) );
+          ]
+      in
+      frequency
+        [
+          (1, map (fun s -> Random_bytes s) (bytes 600));
+          (1, map (fun s -> Random_bytes s) (bytes 3));
+          (2, map2 (fun n body -> Claim (n, body)) claim (bytes 2000));
+          (2, map (fun body -> Claim (Proto.max_frame, body)) (bytes 4096));
+          (2, map2 (fun p rest -> Complete (p, rest)) payload (bytes 64));
+        ])
+  in
+  let print st =
+    let s = stream_bytes st in
+    Printf.sprintf "%d bytes: %S" (String.length s)
+      (String.sub s 0 (min 64 (String.length s)))
+  in
+  let frames = ref 0 and ends = ref 0 and too_big = ref 0 in
+  let prop =
+    QCheck.Test.make ~name:"proto: read_frame over arbitrary streams"
+      ~count:2000 (QCheck.make ~print gen) (fun st ->
+        let s = stream_bytes st in
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close b)
+          (fun () ->
+            (* bounded both ways, so a wedged read or write fails the
+               property instead of hanging it *)
+            Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.;
+            Fun.protect
+              ~finally:(fun () -> Unix.close a)
+              (fun () ->
+                Unix.setsockopt_float a Unix.SO_SNDTIMEO 2.;
+                Proto.write_framed a s);
+            (* the window opens on an empty minor heap: a minor
+               collection inside it would promote older objects, which
+               the runtime's counters report as allocation *)
+            Gc.minor ();
+            let t0 = Unix.gettimeofday () in
+            let before = Gc.allocated_bytes () in
+            let got =
+              match Proto.read_frame b with
+              | Some f -> `Frame f
+              | None -> `End
+              | exception SE.Error { SE.kind = SE.Invalid_config; _ } ->
+                  `Too_big
+            in
+            let allocated = Gc.allocated_bytes () -. before in
+            let dt = Unix.gettimeofday () -. t0 in
+            (match got with
+            | `Frame _ -> incr frames
+            | `End -> incr ends
+            | `Too_big -> incr too_big);
+            if got <> first_frame s then
+              QCheck.Test.fail_report "not the stream's first frame";
+            if dt > frame_read_bound_s then
+              QCheck.Test.fail_reportf "read_frame took %.3f s" dt;
+            let limit =
+              String.length s + Proto.read_chunk + frame_read_slack
+            in
+            if allocated > float_of_int limit then
+              QCheck.Test.fail_reportf
+                "read_frame allocated %.0f bytes for %d bytes sent (limit %d)"
+                allocated (String.length s) limit;
+            true))
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 29 |]) prop;
+  check_bool "some streams held a frame" true (!frames > 0);
+  check_bool "some ended before their frame" true (!ends > 0);
+  check_bool "some claimed past max_frame" true (!too_big > 0)
+
 (* ---- service semantics ---- *)
 
 let test_cache_keys () =
@@ -576,14 +705,19 @@ let test_compute_matches_direct () =
         (Option.bind (J.member "output_md5" result) J.to_string_opt
         = Some (Digest.to_hex (Digest.string direct.Pf_cpu.Arm_run.output)))
 
+(* [Service.handle]'s reply to a request that ran alone *)
+let led = function
+  | Inflight.Led resp -> resp
+  | Inflight.Joined _ -> Alcotest.fail "a lone request joined another"
+
 let test_handle_cached_bit_identical () =
   with_tmpdir "svc-store" @@ fun dir ->
   let store, _ = Store.open_ ~fsync:false dir in
   let req =
     { Proto.default_request with Proto.program = Proto.Named "crc32" }
   in
-  let first = Service.handle ~store (Service.keyed req) in
-  let second = Service.handle ~store (Service.keyed req) in
+  let first = led (Service.handle ~store (Service.keyed req)) in
+  let second = led (Service.handle ~store (Service.keyed req)) in
   (match (first, second) with
   | ( Proto.Ok_reply { result = r1; cached = c1; _ },
       Proto.Ok_reply { result = r2; cached = c2; _ } ) ->
@@ -594,7 +728,8 @@ let test_handle_cached_bit_identical () =
   | _ -> Alcotest.fail "expected two ok replies");
   (* no_cache bypasses but computes the same bytes *)
   (match
-     Service.handle ~store (Service.keyed { req with Proto.no_cache = true })
+     led
+       (Service.handle ~store (Service.keyed { req with Proto.no_cache = true }))
    with
   | Proto.Ok_reply { cached; result; _ } ->
       check_bool "no_cache recomputes" false cached;
@@ -724,8 +859,8 @@ let test_handle_with_inflight () =
   let req =
     { Proto.default_request with Proto.program = Proto.Named "crc32" }
   in
-  let first = Service.handle ~store ~inflight (Service.keyed req) in
-  let second = Service.handle ~store ~inflight (Service.keyed req) in
+  let first = led (Service.handle ~store ~inflight (Service.keyed req)) in
+  let second = led (Service.handle ~store ~inflight (Service.keyed req)) in
   (match (first, second) with
   | ( Proto.Ok_reply { result = r1; cached = c1; _ },
       Proto.Ok_reply { result = r2; cached = c2; _ } ) ->
@@ -1327,6 +1462,59 @@ let test_daemon_counts_only_computes () =
       check_int "served counts every reply before this one" 4
         (counter st "served"))
 
+(* Identical cold requests sent together against a fresh store: the
+   workers that take them at once coalesce on one computation
+   ({!Inflight}), and the later ones hit the store it filled (or join a
+   hit in flight: those count as hits and as coalesced).  Only the leader
+   computed; every other reply is a hit or a follower.  Whether a
+   follower of the computation joins depends on timing, so the exchange
+   is repeated on a fresh store until one does. *)
+let test_daemon_coalesced_not_computed () =
+  let n = 6 in
+  let frame =
+    frame_of
+      {
+        Proto.default_request with
+        Proto.program = Proto.Named "sha";
+        isa = Proto.Fits;
+      }
+  in
+  let followers = ref 0 in
+  let rec attempt i =
+    with_tmpdir "coalesce-store" (fun store_dir ->
+      with_daemon ~jobs:3 ~store_dir (fun sock ->
+          (* every frame is in the daemon's hands before any reply is read *)
+          let fds =
+            List.init n (fun _ ->
+                let fd = connect_raw sock in
+                Proto.write_frame fd frame;
+                fd)
+          in
+          let replies =
+            List.map
+              (fun fd ->
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () ->
+                    match Option.map response_of (Proto.read_frame fd) with
+                    | Some (Proto.Ok_reply { result; _ }) -> J.to_string result
+                    | _ -> Alcotest.fail "expected an ok reply"))
+              fds
+          in
+          List.iter
+            (check_string "every reply carries the same result"
+               (List.hd replies))
+            replies;
+          let st = status_of sock in
+          check_int "every reply served" n (counter st "served");
+          check_int "one computation" 1 (counter st "computed");
+          followers := n - 1 - counter st "cache_hits";
+          check_bool "the others are hits or coalesced followers" true
+            (!followers >= 0 && !followers <= counter st "coalesced")));
+    if !followers = 0 && i < 5 then attempt (i + 1)
+  in
+  attempt 1
+
 let test_daemon_backpressure () =
   (* one worker, queue of one, six slow requests at once: at least one
      must be refused with a structured overloaded reply, none may error *)
@@ -1885,6 +2073,8 @@ let tests =
     Alcotest.test_case "proto: request/response roundtrip" `Quick
       test_proto_roundtrip;
     Alcotest.test_case "proto: framing" `Quick test_frame_roundtrip;
+    Alcotest.test_case "proto: read_frame over arbitrary streams" `Quick
+      test_read_frame_fuzz;
     Alcotest.test_case "service: cache keys" `Quick test_cache_keys;
     Alcotest.test_case "service: cache-key bytes pinned" `Quick
       test_cache_key_bytes_pinned;
@@ -1906,6 +2096,8 @@ let tests =
       test_daemon_error_isolation;
     Alcotest.test_case "daemon: computed counts only computes" `Slow
       test_daemon_counts_only_computes;
+    Alcotest.test_case "daemon: coalesced replies are not computed" `Slow
+      test_daemon_coalesced_not_computed;
     Alcotest.test_case "daemon: backpressure" `Slow test_daemon_backpressure;
     Alcotest.test_case "daemon: loadgen run" `Slow test_loadgen_against_daemon;
     Alcotest.test_case "service: evaluate equals the direct-run oracle" `Slow

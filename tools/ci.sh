@@ -1,13 +1,15 @@
 #!/bin/sh
-# One-command CI gate: lint, build, full test suite, then end-to-end
-# smokes of the engines, of structured CLI errors for bad count flags
+# One-command CI gate: lint, build, the build's compile flags (no
+# -opaque, the dev warnings), full test suite, then end-to-end smokes of
+# the engines, of structured CLI errors for bad count flags
 # (--scale, --max-steps, --seeds, --trials, --queue-cap), of explore (each
 # sweep checked against its replay oracle), serve (crash recovery, store
 # faults, clients that hang up or stall mid-frame, the decode and reply
-# memos, one recording per half under load), population, the
-# leave-one-out multi campaign and mc (litmus sweeps, private machines'
-# schedule-independent reports, a watchdog in a machine run), of the
-# perfbench workloads' oracles and of the bench/probe.exe views.
+# memos, one recording per half and one computation per key under
+# load), population, the leave-one-out multi campaign and mc (litmus
+# sweeps, private machines' schedule-independent reports, a watchdog in
+# a machine run), of the perfbench workloads' oracles and of the
+# bench/probe.exe views.
 #
 #   ./tools/ci.sh
 #
@@ -23,6 +25,28 @@ dune build tools/check/lint.exe
 
 echo "== build =="
 dune build
+
+echo "== build flags: cross-module inlining, dev warnings =="
+# dune-workspace selects the release profile, whose compiles drop dune's
+# dev -opaque, so ocamlopt inlines the hot path's helpers across modules
+# and returns their floats unboxed; the root dune file keeps the dev
+# profile's warnings-as-errors and strictness flags.  One module of each
+# simulation library must compile that way.
+for cmx in lib/cpu/.pf_cpu.objs/native/pf_cpu__Pipeline.cmx \
+  lib/cache/.pf_cache.objs/native/pf_cache__Icache.cmx \
+  lib/power/.pf_power.objs/native/pf_power__Account.cmx \
+  lib/dse/.pf_dse.objs/native/pf_dse__Sweep.cmx \
+  lib/arm/.pf_arm.objs/native/pf_arm__Pexec.cmx; do
+  RULE=$(dune rules "_build/default/$cmx")
+  if printf '%s\n' "$RULE" | grep -qx ' *-opaque'; then
+    echo "ci: $cmx is compiled -opaque (dev profile)"; exit 1
+  fi
+  printf '%s\n' "$RULE" | grep -qx ' *-strict-sequence' || {
+    echo "ci: $cmx is compiled without -strict-sequence"; exit 1; }
+  printf '%s\n' "$RULE" \
+    | grep -qx ' *@1\.\.3@5\.\.28@30\.\.39@43@46\.\.47@49\.\.57@61\.\.62-40' || {
+    echo "ci: $cmx is compiled without the dev warning spec"; exit 1; }
+done
 
 echo "== test =="
 dune runtest
@@ -214,8 +238,9 @@ echo "== serve smoke: each recording half recorded once under load =="
 # requests) against a fresh daemon with two workers, so requests that
 # need one recording half arrive together.  They must wait for its one
 # recording: the shutdown line must count 6 recordings (an ARM and a
-# FITS half per program) and 6 replays (each half at 8 KB), and no
-# errors.
+# FITS half per program) and 6 replays (each half at 8 KB), no errors,
+# and 21 computations, one per key (a reply shared with a concurrent
+# identical request is coalesced, not computed).
 ONCE_DIR=$(mktemp -d)
 SOCK="$ONCE_DIR/pf.sock"
 "$PF" serve --socket "$SOCK" --store "$ONCE_DIR/store" --jobs 2 --no-fsync \
@@ -224,9 +249,9 @@ SERVE_PID=$!
 wait_for_sock
 "$LOADGEN" --socket "$SOCK" --requests 200 --conns 4
 wait "$SERVE_PID"
-grep -Eq "errors=0 .*trace_recordings=6 .*trace_replays=6 " \
+grep -Eq "computed=21 errors=0 .*trace_recordings=6 .*trace_replays=6 " \
   "$ONCE_DIR/serve.log" || {
-  echo "ci: a recording half or a replay ran more than once, or errors"
+  echo "ci: a key, a recording half or a replay ran more than once, or errors"
   cat "$ONCE_DIR/serve.log"; exit 1; }
 rm -rf "$ONCE_DIR"
 
